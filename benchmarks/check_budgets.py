@@ -15,9 +15,9 @@ bit-sliced exhaustive proof must stay at least ``budget /
 regression_factor`` times faster than the int64 path (10.0 / 2.0 = a hard
 5x floor against runner noise, with 10x the expected steady number).
 
-``throughput_sim`` and ``cluster`` are hard floors with no slack: both are
-acceptance criteria stated as speedup ratios measured in one process, so
-runner speed divides out.
+``throughput_sim`` is a hard ceiling and ``cluster`` a hard floor, both
+with no slack: each is an acceptance criterion stated as a ratio of two
+timings measured in one process, so runner speed divides out.
 """
 
 from __future__ import annotations
@@ -66,13 +66,13 @@ def check_backend_speedups(throughput_path, spec) -> list[str]:
 
 
 def check_sim_speedups(throughput_path, spec) -> list[str]:
-    """Hard gate on the simulator-substrate sweep.
+    """Hard ceiling on the simulator-substrate sweep.
 
-    The ``sim_rows`` sort-semantics speedup (plan executor vs the retired
-    per-layer walker) at each budgeted width must meet ``min_speedup_x``
-    with no regression_factor slack — it is the substrate PR's acceptance
-    criterion verbatim, and both timings run on the same machine in the
-    same process, so runner speed cancels out of the ratio.
+    The ``sim_rows`` ``vs_npsort_x`` (plan sort time over ``np.sort(axis=1)``
+    on the same batch) at each budgeted width must not exceed
+    ``max_vs_npsort_x``, with no regression_factor slack.  Both timings run
+    on the same machine in the same process, so runner speed cancels out
+    of the ratio.  A budgeted width with no row fails.
     """
     budgets = spec.get("throughput_sim")
     if not budgets:
@@ -81,28 +81,24 @@ def check_sim_speedups(throughput_path, spec) -> list[str]:
     if not path.exists():
         return [f"throughput_sim budget set but {throughput_path} missing"]
     bench = json.loads(path.read_text())
-    rows = {
-        str(r["width"]): r
-        for r in bench.get("sim_rows", [])
-        if r.get("semantics") == "sort"
-    }
+    rows = {str(r["width"]): r for r in bench.get("sim_rows", [])}
     failures = []
     for width, budget in budgets.items():
         row = rows.get(width)
-        if row is None:
+        if row is None or "vs_npsort_x" not in row:
             failures.append(
-                f"sim width {width}: no sort-semantics sim_rows entry in {throughput_path}"
+                f"sim width {width}: no vs_npsort_x sim_rows entry in {throughput_path}"
             )
             continue
-        floor = float(budget["min_speedup_x"])
-        measured = float(row["speedup_x"])
-        if measured < floor:
+        ceiling = float(budget["max_vs_npsort_x"])
+        measured = float(row["vs_npsort_x"])
+        if measured > ceiling:
             failures.append(
-                f"sim width {width}: sort plan speedup_x={measured} "
-                f"below hard floor {floor:g}"
+                f"sim width {width}: sort plan vs_npsort_x={measured} "
+                f"above hard ceiling {ceiling:g}"
             )
         else:
-            print(f"ok sim width {width} sort speedup_x={measured} (floor {floor:g})")
+            print(f"ok sim width {width} sort vs_npsort_x={measured} (ceiling {ceiling:g})")
     return failures
 
 

@@ -46,7 +46,6 @@ from .sim import (
     evaluate_comparators,
     fetch_and_increment_values,
     propagate_counts,
-    quiescent_counts,
     run_tokens,
     sorted_outputs,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "evaluate_comparators",
     "fetch_and_increment_values",
     "propagate_counts",
-    "quiescent_counts",
     "run_tokens",
     "sorted_outputs",
     "find_counting_violation",

@@ -1031,7 +1031,7 @@ def main(argv: list[str] | None = None) -> int:
     pr.add_argument("--ops", type=int, default=4, help="ops per process (contention workload)")
     pr.add_argument("--batch", type=int, default=64, help="batch size (counts workload)")
     pr.add_argument(
-        "--semantics", choices=["count", "sort", "token"], default="count",
+        "--semantics", choices=["count", "sort"], default="count",
         help="plan kernel the counts workload drives (counts workload)",
     )
     pr.add_argument(

@@ -12,6 +12,9 @@ that builds it.  This module caches both the constructed
   ``variant``) with a **code-version hash** over the construction and
   lowering sources, so editing any of those modules silently invalidates
   every stale entry — no manual cache busting;
+* one stored plan serves every backend and semantics: the segment tables
+  do not depend on the kernel that sweeps them, so the executor, not the
+  artifact, chooses int64 or bit-sliced and count or sort;
 * corrupted entries (truncated npz, hand-edited manifest, wrong-shape
   arrays) are treated as misses, dropped, and recounted — the cache never
   propagates a bad artifact;
@@ -33,9 +36,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..obs import runtime as _obs
-from .bitplan import BitPlan
 from .network import Balancer, Network
-from .plan import SEMANTICS, ExecutionPlan, lower_network
+from .plan import ExecutionPlan, lower_network
 
 __all__ = [
     "code_version_hash",
@@ -50,12 +52,12 @@ MANIFEST_VERSION = 1
 
 #: Sources whose content defines cached-artifact validity.  Editing any of
 #: these changes every cache key, orphaning (not corrupting) old entries.
+#: The kernels (``core/semantics.py``, ``core/bitplan.py``) are not listed:
+#: they sweep a stored plan but do not shape it.
 _HASHED_SOURCES = (
     "core/network.py",
     "core/compiled.py",
     "core/plan.py",
-    "core/bitplan.py",
-    "core/semantics.py",
     "networks/counting.py",
     "networks/staircase.py",
     "networks/two_merger.py",
@@ -216,9 +218,11 @@ class PlanCache:
         factors: Sequence[int],
         variant: str | None = None,
     ) -> str:
-        """Filesystem-safe cache key including the code-version hash."""
+        """Filesystem-safe cache key including the code-version hash.
+
+        ``variant=None`` names the stock network, the same as ``"stock"``."""
         fac = "x".join(str(int(f)) for f in factors)
-        var = variant or "default"
+        var = variant or "stock"
         return f"{kind}-{family}-{fac}-{var}-{code_version_hash()}"
 
     # -- generic npz entry store/load ---------------------------------------
@@ -275,40 +279,16 @@ class PlanCache:
 
     # -- plans --------------------------------------------------------------
 
-    @staticmethod
-    def _plan_kind(backend: str, semantics: str = "count") -> str:
-        """Artifact kind per backend and semantics: bit-sliced plans are
-        stored (and therefore invalidated, counted, and listed) separately
-        from int64 plans, and non-count semantics get a ``.{semantics}``
-        kind suffix — both are part of the artifact's identity.  (The
-        segment tables are semantics-independent today, but a key that
-        names what produced it keeps distinct eviction/stats accounting and
-        room for semantics-specialized lowering.)"""
-        if backend == "int64":
-            kind = "plan"
-        elif backend == "bitsliced":
-            kind = "bitplan"
-        else:
-            raise ValueError(f"unknown plan backend {backend!r}")
-        if semantics not in SEMANTICS:
-            raise ValueError(f"unknown semantics {semantics!r}; choose from {SEMANTICS}")
-        return kind if semantics == "count" else f"{kind}.{semantics}"
-
     def get_plan(
-        self,
-        family: str,
-        factors: Sequence[int],
-        variant: str | None = None,
-        backend: str = "int64",
-        semantics: str = "count",
-    ) -> ExecutionPlan | BitPlan | None:
-        key = self.entry_key(self._plan_kind(backend, semantics), family, factors, variant)
+        self, family: str, factors: Sequence[int], variant: str | None = None
+    ) -> ExecutionPlan | None:
+        key = self.entry_key("plan", family, factors, variant)
         loaded = self._get(key)
         if loaded is None:
             return None
         arrays, entry = loaded
         try:
-            plan = ExecutionPlan.from_arrays(
+            return ExecutionPlan.from_arrays(
                 arrays, name=entry.get("meta", {}).get("name", key)
             )
         except (ValueError, KeyError):
@@ -316,28 +296,21 @@ class PlanCache:
             self._count("corrupt", "cache.corrupt")
             self._write_manifest()
             return None
-        return BitPlan(plan) if backend == "bitsliced" else plan
 
     def put_plan(
         self,
         family: str,
         factors: Sequence[int],
-        plan: ExecutionPlan | BitPlan,
+        plan: ExecutionPlan,
         variant: str | None = None,
-        backend: str = "int64",
-        semantics: str = "count",
     ) -> None:
-        key = self.entry_key(self._plan_kind(backend, semantics), family, factors, variant)
-        if isinstance(plan, BitPlan):
-            plan = plan.plan
+        key = self.entry_key("plan", family, factors, variant)
         meta = {
             "name": plan.name,
             "width": plan.width,
             "depth": plan.depth,
             "size": plan.size,
-            "variant": variant or "default",
-            "backend": backend,
-            "semantics": semantics,
+            "variant": variant or "stock",
         }
         self._put(key, plan.to_arrays(), meta)
 
@@ -374,40 +347,28 @@ class PlanCache:
             "width": net.width,
             "depth": net.depth,
             "size": net.size,
-            "variant": variant or "default",
+            "variant": variant or "stock",
         }
         self._put(key, _network_arrays(net), meta)
 
     # -- maintenance --------------------------------------------------------
 
     def stats(self) -> dict:
-        """Entry count, bytes on disk, the persistent counters, a
+        """Entry count, bytes on disk, the persistent counters, and a
         per-variant entry breakdown (searched-base plans never collide with
         stock plans — the variant is part of every key and recorded in every
-        entry's meta), and per-backend / per-semantics breakdowns of plan
-        artifacts (``plan-*`` int64 vs ``bitplan-*`` bit-sliced;
-        ``plan.sort-*`` / ``plan.token-*`` non-count semantics)."""
+        entry's meta)."""
         m = self._load_manifest()
         entries = m["entries"]
         variants: dict[str, int] = {}
-        backends: dict[str, int] = {}
-        semantics: dict[str, int] = {}
-        for key, e in entries.items():
-            meta = e.get("meta", {})
-            v = str(meta.get("variant", "default"))
+        for e in entries.values():
+            v = str(e.get("meta", {}).get("variant", "stock"))
             variants[v] = variants.get(v, 0) + 1
-            if not str(key).startswith("net-"):
-                b = str(meta.get("backend", "int64"))
-                backends[b] = backends.get(b, 0) + 1
-                s = str(meta.get("semantics", "count"))
-                semantics[s] = semantics.get(s, 0) + 1
         return {
             "root": str(self.root),
             "entries": len(entries),
             "bytes": int(sum(int(e.get("bytes", 0)) for e in entries.values())),
             "variants": dict(sorted(variants.items())),
-            "backends": dict(sorted(backends.items())),
-            "semantics": dict(sorted(semantics.items())),
             **{k: int(v) for k, v in m["counters"].items()},
         }
 
@@ -453,29 +414,25 @@ def cached_plan(
     builder: Callable[[], Network],
     *,
     variant: str | None = None,
-    backend: str = "int64",
-    semantics: str = "count",
     cache: PlanCache | None = None,
-) -> ExecutionPlan | BitPlan:
-    """The execution plan for ``(family, factors, variant, backend,
-    semantics)``, from disk when possible.
+) -> ExecutionPlan:
+    """The execution plan for ``(family, factors, variant)``, from disk when
+    possible.
 
     On a hit the network is never materialized — evaluation needs only the
     plan.  On a miss ``builder()`` runs once and **both** artifacts (the
-    network's flat arrays and the lowered plan, tagged with ``backend`` and
-    ``semantics``) are stored for next time.  ``backend="bitsliced"``
-    returns a :class:`~repro.core.bitplan.BitPlan` over the same arrays.
+    network's flat arrays and the lowered plan) are stored for next time.
+    Any backend or semantics executes the returned plan, e.g.
+    ``PlanExecutor(plan, backend="bitsliced", semantics="sort")``.
     """
     cache = cache or default_cache()
-    plan = cache.get_plan(family, factors, variant, backend=backend, semantics=semantics)
+    plan = cache.get_plan(family, factors, variant)
     if plan is not None:
         return plan
     net = builder()
     plan = lower_network(net)
     cache.put_network(family, factors, net, variant)
-    cache.put_plan(family, factors, plan, variant, backend=backend, semantics=semantics)
-    if backend == "bitsliced":
-        return BitPlan(plan)
+    cache.put_plan(family, factors, plan, variant)
     return plan
 
 

@@ -19,10 +19,9 @@ further, to an :class:`ExecutionPlan`:
   plain slice store (a memcpy), not a fancy scatter — only the gather side
   pays for indexed addressing;
 * the per-balancer arithmetic is a pluggable :mod:`~repro.core.semantics`
-  kernel — quiescent count transfer, descending compare-exchange, or
-  batched mod-p token routing — so one executor serves all three of the
-  paper's isomorphic network views (the dominant width-2 case gets a
-  dedicated branchless kernel in every semantics);
+  kernel — quiescent count transfer or descending compare-exchange — so
+  one executor serves the paper's isomorphic network views (the dominant
+  width-2 case gets a dedicated branchless kernel in each semantics);
 * a :class:`PlanExecutor` owns a reusable scratch-buffer pool (shared
   across the semantics of one network/backend pair) so steady-state
   evaluation allocates **nothing** per call, and optionally shards large
@@ -262,8 +261,8 @@ def plan_executor(
     One executor per ``(network, backend, semantics)`` triple; all share
     the same memoized :class:`ExecutionPlan`, and the executors of one
     ``(network, backend)`` pair share one LRU scratch-buffer pool — the
-    count, sort, and token views of a network reuse each other's warm
-    buffers instead of tripling the steady-state footprint."""
+    count and sort views of a network reuse each other's warm buffers
+    instead of doubling the steady-state footprint."""
     per_net = _executor_cache.get(net)
     if per_net is None:
         per_net = {}
@@ -394,8 +393,7 @@ class PlanExecutor:
     packed form is also exposed directly via :meth:`run_packed`.  On 0-1
     inputs the counting transfer and the descending compare-exchange
     coincide (OR on top, AND below), so the bit-sliced backend serves both
-    ``count`` and ``sort`` semantics with the same kernels; ``token``
-    semantics is rejected (balancer state is a count, not a bit).
+    ``count`` and ``sort`` semantics with the same kernels.
     """
 
     def __init__(
@@ -408,11 +406,6 @@ class PlanExecutor:
     ) -> None:
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-        if backend == "bitsliced" and semantics == "token":
-            raise ValueError(
-                "the bitsliced backend packs wires into single bits and cannot "
-                "hold token-semantics balancer state; use backend='int64'"
-            )
         self.plan = plan
         self.backend = backend
         self.semantics = get_semantics(semantics)

@@ -1,16 +1,14 @@
 """Pluggable per-balancer semantics for the flat plan executor.
 
-The paper's three views of one network — quiescent token counts,
-descending comparator sorting, and asynchronous mod-``p`` token routing —
-are isomorphic walks over the same wiring (paper §1, Figure 2).  Before
-this module each view owned its own network walker; now a single
-:class:`~repro.core.plan.ExecutionPlan` sweep is parameterized by a small
-kernel object:
+The paper's two value views of one network — quiescent token counts and
+descending comparator sorting — are isomorphic walks over the same wiring
+(paper §1, Figure 2).  A single :class:`~repro.core.plan.ExecutionPlan`
+sweep is parameterized by a small kernel object:
 
 ``CountSemantics``
     The quiescent-count transfer ``out[j] = ceil((T - j) / p)``: the
     branchless width-2 shift kernel plus the general in-place
-    floor-divide kernel (the PR-4 kernels, moved here verbatim).
+    floor-divide kernel.
 ``SortSemantics``
     Descending compare-exchange: width-2 balancers become a branchless
     ``np.maximum`` / ``np.minimum`` pair, general ``p``-comparators an
@@ -18,16 +16,13 @@ kernel object:
     the *input's* dtype — sorting floats or int8 0-1 vectors through the
     int64 count kernels would corrupt them, so the executor's scratch
     pool keys buffers by ``(batch, dtype)``.
-``TokenSemantics``
-    The asynchronous balancer stepped to quiescence in batch: each
-    balancer's state is its arrival count, token ``i`` leaves on port
-    ``i mod p``, so a total of ``T`` arrivals decomposes into
-    ``T // p`` full rounds plus a residue ``T mod p`` spread over the
-    first ports — ``out[j] = T // p + (j < T mod p)``.  Numerically
-    identical to ``CountSemantics`` (that identity *is* the paper's
-    quiescence argument, and the differential suite pins it), but
-    computed as explicit mod-``p`` state so the kernel is the batched
-    form of :class:`~repro.sim.token_sim.TokenSimulator`'s hop rule.
+
+The asynchronous token view needs no kernel of its own.  A ``p``-balancer
+sends its ``i``-th token to port ``i mod p``, so once ``T`` tokens have
+passed, port ``j`` holds ``ceil((T - j) / p)`` whatever the schedule: the
+count kernel *is* the batched token view at quiescence.  Only
+step-granular questions (traces, exit orders, Fetch&Increment values)
+need :class:`~repro.sim.token_sim.TokenSimulator`.
 
 Every semantics also carries the per-balancer **override sweep** used for
 :class:`repro.faults.FaultyNetwork` mutants, whose behavior (e.g. a stuck
@@ -45,12 +40,11 @@ __all__ = [
     "Semantics",
     "CountSemantics",
     "SortSemantics",
-    "TokenSemantics",
     "get_semantics",
 ]
 
 #: Execution semantics a :class:`~repro.core.plan.PlanExecutor` can run.
-SEMANTICS = ("count", "sort", "token")
+SEMANTICS = ("count", "sort")
 
 
 class Semantics:
@@ -70,7 +64,7 @@ class Semantics:
     (:meth:`~repro.core.plan.ExecutionPlan._validate`).
     """
 
-    #: Registry name; also stamped into spans, cache keys and stats.
+    #: Registry name; also stamped into spans and executor stats.
     name = "semantics"
 
     def __init__(self) -> None:
@@ -242,60 +236,10 @@ class SortSemantics(Semantics):
         return state[list(net.outputs)].T
 
 
-class TokenSemantics(Semantics):
-    """Batched mod-``p`` token routing, stepped to quiescence per layer.
-
-    Port ``j`` of a balancer that saw ``T`` arrivals from a fresh state
-    received ``T // p`` full round-robin rounds plus one residue token iff
-    ``j < T mod p``.  Same numbers as :class:`CountSemantics` — by the
-    schedule-independence of quiescent states — via the token-routing
-    decomposition instead of the ceiling identity.
-    """
-
-    name = "token"
-
-    def segment(self, state, scratch, in_flat, p: int, k: int, off: int, ob: int) -> None:
-        size = p * k
-        g = scratch.gather[:size]
-        np.take(state, in_flat[off : off + size], axis=0, out=g, mode="clip")
-        if p == 2:
-            top = state[ob : ob + k]
-            bot = state[ob + k : ob + 2 * k]
-            np.add(g[:k], g[k:], out=bot)  # totals
-            np.bitwise_and(bot, 1, out=top)  # residue: 1 token iff T odd
-            np.right_shift(bot, 1, out=bot)  # full rounds
-            np.add(top, bot, out=top)  # port 0 = rounds + residue
-            return
-        vals = g.reshape(p, k, -1)
-        tot = scratch.totals[:k]
-        vals.sum(axis=0, out=tot)
-        # The gather rows are dead after the totals reduction: reuse row 0
-        # as the residue buffer (T mod p) so the kernel allocates nothing.
-        rem = g[:k]
-        np.remainder(tot, p, out=rem)
-        np.floor_divide(tot, p, out=tot)  # tot now holds the full rounds
-        out = state[ob : ob + size].reshape(p, k, -1)
-        # out[j] = rounds + (j < rem): clip(rem - j, 0, 1) is the indicator.
-        np.subtract(rem[None, :, :], self._offset_col(p), out=out)
-        np.clip(out, 0, 1, out=out)
-        np.add(out, tot[None, :, :], out=out)
-
-    def apply_overridden(self, net, x: np.ndarray, overrides: dict) -> np.ndarray:
-        """Token-routing override sweep.
-
-        A stuck balancer routes *every* arriving token to its stuck port
-        (:meth:`repro.faults.mutator.StuckOverride.apply_counts`), and a
-        pristine balancer drained from a fresh state lands on the
-        quiescent counts — exactly the count sweep, shared verbatim.
-        """
-        return _COUNT.apply_overridden(net, x, overrides)
-
-
 _COUNT = CountSemantics()
 _SORT = SortSemantics()
-_TOKEN = TokenSemantics()
 
-_REGISTRY: dict[str, Semantics] = {s.name: s for s in (_COUNT, _SORT, _TOKEN)}
+_REGISTRY: dict[str, Semantics] = {s.name: s for s in (_COUNT, _SORT)}
 
 
 def get_semantics(name: str) -> Semantics:

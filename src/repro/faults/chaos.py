@@ -614,19 +614,18 @@ def chaos_token_check(
     scheduler and check the quiescent counts.
 
     Verifies both halves of the counting-network story: the counts match
-    the schedule-independent prediction of the batched token kernel
-    (:func:`repro.sim.token_sim.quiescent_counts`), and they satisfy the
+    the schedule-independent quiescent prediction
+    (:func:`repro.sim.count_sim.propagate_counts`), and they satisfy the
     step property.  Returns a typed escape or ``None``.
     """
     from ..core.sequences import make_step
-    from ..sim.token_sim import quiescent_counts
 
     total = tokens if tokens is not None else 4 * net.width + 3
     x = make_step(net.width, total)
     sim = TokenSimulator(net, seed=seed)
     sim.inject(x)
     result = sim.run("chaos")
-    predicted = quiescent_counts(net, x)
+    predicted = propagate_counts(net, x)
     if not np.array_equal(result.output_counts, predicted):
         return FaultEscape(
             "schedule-dependence",

@@ -12,10 +12,9 @@ metrics into per-layer and per-balancer tables:
   and the time processes spent queued at each balancer;
 * ``counts`` — the vectorized plan-executor batch evaluator; hot spots are
   per-layer wall-clock times of the numpy sweep.  ``semantics=`` selects
-  which of the three plan kernels runs: ``count``
-  (:func:`~repro.sim.propagate_counts`), ``sort``
-  (:func:`~repro.sim.evaluate_comparators`), or ``token``
-  (:func:`~repro.sim.quiescent_counts`).
+  which of the two plan kernels runs: ``count``
+  (:func:`~repro.sim.propagate_counts`) or ``sort``
+  (:func:`~repro.sim.evaluate_comparators`).
 
 The result carries everything the CLI needs: table rows for
 :func:`repro.analysis.format_table`, a JSON payload for
@@ -44,7 +43,7 @@ __all__ = ["ProfileReport", "profile_network", "WORKLOADS"]
 WORKLOADS = ("tokens", "contention", "counts")
 
 #: Metric namespace (``sim.<ns>.*``) each plan semantics reports under.
-_SEM_NAMESPACE = {"count": "counts", "sort": "sort", "token": "token_quiescent"}
+_SEM_NAMESPACE = {"count": "counts", "sort": "sort"}
 
 
 @dataclass
@@ -128,8 +127,8 @@ def profile_network(
     """Profile ``build()`` (or an existing network) under ``workload``.
 
     ``semantics`` selects the plan kernel the ``counts`` workload drives
-    (``count`` / ``sort`` / ``token``); the token-stepping and contention
-    workloads are count-only.
+    (``count`` / ``sort``); the token-stepping and contention workloads
+    are count-only.
 
     Runs inside :func:`repro.obs.capture`, so the process-global registry
     and tracer are swapped for fresh ones and restored afterwards; the
@@ -240,10 +239,6 @@ def _run_workload(
         from ..sim.sort_sim import evaluate_comparators
 
         evaluate_comparators(net, x)
-    elif semantics == "token":
-        from ..sim.token_sim import quiescent_counts
-
-        quiescent_counts(net, x)
     else:
         from ..sim.count_sim import propagate_counts
 

@@ -17,8 +17,8 @@ service.  Pieces:
 * :mod:`repro.serve.loadgen` — :class:`LoadGenerator` (seeded open-/
   closed-loop load) and :class:`LoadReport`;
 * :mod:`repro.serve.top` — the ``repro top`` live terminal dashboard
-  (throughput, p50/p99, queue depth, shed and cache-hit rates; per-shard
-  rows when pointed at a cluster router).
+  (throughput, p50/p99, queue depth, shed rate and buffer reuse;
+  per-shard rows when pointed at a cluster router).
 
 The multi-process flavour of all of this — sharded workers behind a
 consistent-hash router, with write-ahead durability — lives in

@@ -164,7 +164,7 @@ class CountingServer:
     def _metrics_text(self) -> str:
         """Render the ``METRICS`` payload.
 
-        A fresh mirror registry (always-maintained service/batcher/cache
+        A fresh mirror registry (always-maintained service/batcher/executor
         counters — meaningful even with obs off) is rendered first, then the
         process-global registry (hot-path histograms, only populated while
         obs is on); the mirror wins name collisions.

@@ -239,10 +239,7 @@ class CountingService:
         return self._batcher.stats
 
     def stats(self) -> dict:
-        """One JSON-friendly snapshot: network, issuance, batching, cache."""
-        from ..core.cache import default_cache
-
-        cache = default_cache().stats()
+        """One JSON-friendly snapshot: network, issuance, batching, executor."""
         return {
             "network": {
                 "name": self.net.name,
@@ -258,7 +255,6 @@ class CountingService:
             "max_delay": self._batcher.max_delay,
             "queue_limit": self._batcher.queue_limit,
             "executor": self._executor.scratch_stats() if self._executor else None,
-            "cache": {k: cache[k] for k in ("hits", "misses", "stores", "corrupt")},
             **self._batcher.stats.as_dict(),
         }
 
@@ -266,13 +262,11 @@ class CountingService:
         """Mirror the always-maintained service stats into ``registry``.
 
         This is the scrape-time half of the ``METRICS`` verb: the counters
-        here (issuance, batching, shed, executor buffers, plan cache) are
-        plain attributes kept regardless of the obs switch, so a scrape is
+        here (issuance, batching, shed, executor buffers) are plain
+        attributes kept regardless of the obs switch, so a scrape is
         meaningful even with ``REPRO_OBS`` off; when obs is on the server
         renders the hot-path histograms from the default registry alongside.
         """
-        from ..core.cache import default_cache
-
         registry.gauge("serve.queue_depth").set(self._batcher.queue_depth)
         registry.counter("serve.issued_total").inc(self._total)
         bs = self._batcher.stats
@@ -286,9 +280,6 @@ class CountingService:
             registry.counter("plan.buffer_allocs_total").inc(self._executor.buffer_allocs)
             registry.counter("plan.buffer_reuses_total").inc(self._executor.buffer_reuses)
             registry.counter("plan.batches_total").inc(self._executor.batches)
-        cache = default_cache().stats()
-        for key in ("hits", "misses", "stores", "corrupt"):
-            registry.counter(f"cache.{key}_total").inc(cache[key])
         registry.gauge("net.width").set(self.net.width)
         registry.gauge("net.depth").set(self.net.depth)
 

@@ -3,7 +3,7 @@
 Polls ``STATS`` (always-on service counters) and ``METRICS`` (Prometheus
 exposition) over one TCP connection and renders a small refreshing panel:
 throughput, request-latency p50/p99, queue depth, shed rate, batch
-coalescing, and plan-cache hit rate.  Rates are computed from successive
+coalescing, and executor buffer reuse.  Rates are computed from successive
 samples (deltas over the poll interval), so the display shows *current*
 behaviour, not lifetime averages.
 
@@ -119,10 +119,6 @@ def render_frame(prev: TopSample, cur: TopSample) -> str:
             p50 = percentile_from_buckets(bounds, cum, 50, max_value=mx)
             p99 = percentile_from_buckets(bounds, cum, 99, max_value=mx)
 
-    cache = st.get("cache") or {}
-    lookups = cache.get("hits", 0) + cache.get("misses", 0)
-    hit_rate = 100.0 * cache.get("hits", 0) / lookups if lookups else None
-
     ex = st.get("executor") or {}
     touches = ex.get("buffer_allocs", 0) + ex.get("buffer_reuses", 0)
     reuse_pct = 100.0 * ex.get("buffer_reuses", 0) / touches if touches else None
@@ -136,7 +132,6 @@ def render_frame(prev: TopSample, cur: TopSample) -> str:
         ("shed rate", _fmt_num(shed_pct, "%") if shed_pct is not None else "0%"),
         ("batch size", _fmt_num(st.get("mean_batch_size"), " (mean)")),
         ("issued total", f"{st.get('issued', 0):,}"),
-        ("cache hits", _fmt_num(hit_rate, "%") if hit_rate is not None else "n/a"),
         ("buffer reuse", _fmt_num(reuse_pct, "%") if reuse_pct is not None else "n/a"),
     ]
     width = max(len(label) for label, _ in rows)

@@ -16,7 +16,6 @@ from .token_sim import (
     Token,
     TokenSimulator,
     fetch_and_increment_values,
-    quiescent_counts,
     run_tokens,
 )
 from .schedulers import SCHEDULERS, get_scheduler
@@ -42,7 +41,6 @@ __all__ = [
     "Token",
     "TokenSimulator",
     "fetch_and_increment_values",
-    "quiescent_counts",
     "run_tokens",
     "SCHEDULERS",
     "get_scheduler",

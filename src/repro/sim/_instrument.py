@@ -1,11 +1,11 @@
 """Shared observability wrapper for plan-lowered simulator entry points.
 
-All three simulator facades (:func:`~repro.sim.count_sim.propagate_counts`,
-:func:`~repro.sim.sort_sim.evaluate_comparators`,
-:func:`~repro.sim.token_sim.quiescent_counts`) run the same
+Both plan-lowered simulator facades
+(:func:`~repro.sim.count_sim.propagate_counts` and
+:func:`~repro.sim.sort_sim.evaluate_comparators`) run the same
 :class:`~repro.core.plan.PlanExecutor` sweep; only the metric namespace
-differs (``sim.counts.*``, ``sim.sort.*``, ``sim.token_quiescent.*``).
-This module holds the one instrumented-run implementation they share.
+differs (``sim.counts.*``, ``sim.sort.*``).  This module holds the one
+instrumented-run implementation they share.
 
 Only reached while :mod:`repro.obs` is enabled; the arithmetic is identical
 to the un-instrumented branch, so outputs are byte-identical either way —

@@ -9,10 +9,9 @@ matching the paper's asynchronous semantics: a ``p``-balancer forwards its
 The step-granular :class:`TokenSimulator` is kept for what genuinely needs
 per-token state — traces, exit orders, Fetch&Increment values, and
 linearizability schedules.  When only the *quiescent counts* are wanted,
-:func:`quiescent_counts` lowers onto the flat
-:class:`~repro.core.plan.ExecutionPlan` substrate with ``semantics="token"``
-(the batched mod-``p`` balancer kernel) — schedule independence makes the
-two agree exactly, and the differential suite pins it.
+:func:`~repro.sim.count_sim.propagate_counts` computes them in one plan
+sweep — schedule independence makes the two agree exactly, and the
+differential suite pins it.
 
 It is used to
 
@@ -30,54 +29,16 @@ from typing import Sequence
 import numpy as np
 
 from ..core.network import Network
-from ..core.plan import plan_executor
-from ..core.semantics import get_semantics
 from ..obs import runtime as _obs
-from ._instrument import run_instrumented
 from .schedulers import Scheduler, get_scheduler
 
 __all__ = [
     "Token",
     "RunResult",
     "TokenSimulator",
-    "quiescent_counts",
     "run_tokens",
     "fetch_and_increment_values",
 ]
-
-
-def quiescent_counts(net: Network, counts: np.ndarray) -> np.ndarray:
-    """Quiescent output counts of draining ``counts`` tokens — no stepping.
-
-    ``counts`` may be ``(w,)`` or ``(B, w)`` of non-negative token counts
-    per input-sequence position.  Equivalent to
-    ``run_tokens(net, counts).output_counts`` under *any* scheduler (the
-    paper's schedule-independence argument), but computed with the batched
-    mod-``p`` token kernel on the plan substrate: one executor sweep instead
-    of ``O(tokens × depth)`` Python hops.  Fault-mutant networks take the
-    per-balancer override sweep (a stuck balancer routes every token to its
-    stuck port).
-    """
-    x = np.asarray(counts, dtype=np.int64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != net.width:
-        raise ValueError(f"expected input shape (B, {net.width}), got {x.shape}")
-    if np.any(x < 0):
-        raise ValueError("token counts must be non-negative")
-
-    overrides = getattr(net, "fault_overrides", None)
-    if overrides:
-        out = get_semantics("token").apply_overridden(net, x, overrides)
-        return out[0] if single else out
-
-    ex = plan_executor(net, semantics="token")
-    if _obs.enabled:
-        out = run_instrumented(net, ex, x, "token_quiescent")
-    else:
-        out = ex.run(x)
-    return out[0] if single else out
 
 
 @dataclass

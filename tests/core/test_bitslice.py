@@ -330,33 +330,32 @@ class TestCachedBitPlan:
 
         cache = PlanCache(tmp_path)
         factors = [2, 3]
-        build = lambda: k_network(factors)  # noqa: E731
-        bp = cached_plan("K", factors, build, cache=cache, backend="bitsliced")
-        assert isinstance(bp, BitPlan)
-        # A second call hits the cache and still lowers to a BitPlan.
-        bp2 = cached_plan(
-            "K", factors, lambda: pytest.fail("must hit"), cache=cache, backend="bitsliced"
-        )
-        assert isinstance(bp2, BitPlan)
-        x = _bits(bp.width, 90, seed=4)
+        cold = cached_plan("K", factors, lambda: k_network(factors), cache=cache)
+        # A second call hits the cache; the bit-sliced executor lowers the
+        # stored ExecutionPlan to its BitPlan itself.
+        warm = cached_plan("K", factors, lambda: pytest.fail("must hit"), cache=cache)
+        for f, arr in cold.to_arrays().items():
+            assert np.array_equal(warm.to_arrays()[f], arr), f
+        x = _bits(warm.width, 90, seed=4)
         packed, batch = pack_zero_one(x)
-        ex = PlanExecutor(bp2.plan, backend="bitsliced")
+        ex = PlanExecutor(warm, backend="bitsliced")
         assert (
             unpack_zero_one(ex.run_packed(packed), batch).tobytes()
             == plan_executor(k_network(factors)).run(x).tobytes()
         )
 
-    def test_backend_keys_do_not_collide(self, tmp_path):
+    def test_one_stored_plan_serves_both_backends(self, tmp_path):
         from repro.core.cache import PlanCache, cached_plan
 
         cache = PlanCache(tmp_path)
-        factors = [2, 2]
-        p_int = cached_plan("K", factors, lambda: k_network(factors), cache=cache)
-        p_bit = cached_plan(
-            "K", factors, lambda: k_network(factors), cache=cache, backend="bitsliced"
-        )
-        assert isinstance(p_bit, BitPlan) and not isinstance(p_int, BitPlan)
-        # Both artifacts live side by side and stats break them down.
-        backends = cache.stats()["backends"]
-        assert backends.get("int64", 0) >= 1
-        assert backends.get("bitsliced", 0) >= 1
+        factors = [2, 2, 2]
+        cached_plan("K", factors, lambda: k_network(factors), cache=cache)
+        hit = cached_plan("K", factors, lambda: pytest.fail("must hit"), cache=cache)
+        x = _bits(hit.width, 130, seed=7)
+        for semantics in ("count", "sort"):
+            bit = PlanExecutor(hit, backend="bitsliced", semantics=semantics).run(x)
+            lanes = PlanExecutor(hit, backend="int64", semantics=semantics).run(x)
+            assert bit.tobytes() == lanes.tobytes(), semantics
+        stats = cache.stats()
+        assert stats["entries"] == 2 and stats["stores"] == 2  # network + plan
+        assert "backends" not in stats and "semantics" not in stats

@@ -8,6 +8,7 @@ repository's own ``.repro_cache``."""
 from __future__ import annotations
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -98,6 +99,13 @@ class TestInvalidation:
         assert len({k1, k2, k3, k4}) == 4
         assert code_version_hash() in k1
 
+    def test_every_hashed_source_exists(self):
+        # A stale entry would hash as "<missing>" and silently stop
+        # invalidating anything.
+        pkg = pathlib.Path(cache_mod.__file__).resolve().parent.parent
+        missing = [rel for rel in cache_mod._HASHED_SOURCES if not (pkg / rel).is_file()]
+        assert missing == []
+
 
 class TestCorruptionRecovery:
     def test_truncated_npz_is_dropped_and_rebuilt(self, tmp_path):
@@ -148,7 +156,7 @@ class TestMaintenance:
         # `repro cache stats` prints exactly these keys; keep them stable.
         s = PlanCache(tmp_path).stats()
         assert set(s) == {
-            "root", "entries", "bytes", "variants", "backends", "semantics",
+            "root", "entries", "bytes", "variants",
             "hits", "misses", "stores", "corrupt",
         }
 
@@ -189,7 +197,18 @@ class TestVariantKeys:
         )
         s = cache.stats()
         # net + plan artifact per variant.
-        assert s["variants"] == {"default": 2, "searched": 2}
+        assert s["variants"] == {"stock": 2, "searched": 2}
+
+    def test_none_and_stock_name_one_entry(self, tmp_path):
+        cache = PlanCache(tmp_path)
+        cached_plan("K", FACTORS, _build, cache=cache)
+        plan = cached_plan(
+            "K", FACTORS, lambda: pytest.fail("must hit"), cache=cache, variant="stock"
+        )
+        assert plan.width == 6
+        s = cache.stats()
+        assert (s["misses"], s["hits"], s["stores"]) == (1, 1, 2)
+        assert s["variants"] == {"stock": 2}
 
 
 class TestCliCacheCommand:

@@ -1,12 +1,13 @@
-"""Differential conformance of the three plan-executor semantics.
+"""Differential conformance of the two plan-executor semantics.
 
-This PR deleted the legacy per-layer walkers from ``sim/sort_sim`` and
-``sim/count_sim`` and lowered all three network views — quiescent counts,
-descending comparator sort, batched token state — onto the one
-:class:`~repro.core.plan.ExecutionPlan` substrate.  Their behaviour is
-pinned here instead: the walkers live on as *inline oracles* over the
-compiled per-layer groups, and hypothesis drives arbitrary irregular
-networks (mixed widths, partial layers, zero-layer degenerates) plus the
+Both network views — quiescent counts and descending comparator sort —
+run on the one :class:`~repro.core.plan.ExecutionPlan` substrate; the
+asynchronous token view is the count kernel at quiescence, checked against
+:class:`~repro.sim.token_sim.TokenSimulator`.  The legacy per-layer
+walkers that ``sim/sort_sim`` and ``sim/count_sim`` once shipped live on
+here as *inline oracles* over the compiled per-layer groups, and
+hypothesis drives arbitrary irregular networks (mixed widths, partial
+layers, zero-layer degenerates) plus the
 paper's K/L/R families and the ``searched`` variant through both, asserting
 byte-identical outputs.  Fault-override sweeps, the compare-exchange
 kernel, backend composition, the sort-verifier kill matrix, and the
@@ -32,7 +33,6 @@ from repro.sim import (
     evaluate_comparators,
     propagate_counts,
     propagate_counts_reference,
-    quiescent_counts,
 )
 from repro.sim.token_sim import TokenSimulator
 
@@ -174,7 +174,6 @@ class TestDifferential:
             dtype=np.int64,
         )
         assert propagate_counts(net, x).tobytes() == legacy_count_walker(net, x)[0].tobytes()
-        assert quiescent_counts(net, x).tobytes() == legacy_count_walker(net, x)[0].tobytes()
         vals = np.array(
             data.draw(
                 st.lists(st.integers(-50, 50), min_size=net.width, max_size=net.width)
@@ -188,21 +187,20 @@ class TestDifferential:
         rng = np.random.default_rng(0)
         x = rng.integers(0, 64, size=(32, net.width))
         assert propagate_counts(net, x).tobytes() == legacy_count_walker(net, x).tobytes()
-        assert quiescent_counts(net, x).tobytes() == legacy_count_walker(net, x).tobytes()
         vals = rng.integers(-1000, 1000, size=(32, net.width))
         assert evaluate_comparators(net, vals).tobytes() == legacy_sort_walker(net, vals).tobytes()
 
     @pytest.mark.parametrize("build", FAMILY_NETS)
     def test_token_semantics_matches_token_simulator(self, build):
-        """The batched quiescent path must land exactly where the
-        step-granular scheduler simulation lands."""
+        """The batched count kernel must land exactly where the
+        step-granular scheduler simulation lands (paper §1, Figure 2)."""
         net = build()
         counts = np.zeros(net.width, dtype=np.int64)
         counts[: max(net.width // 2, 1)] = 3
         sim = TokenSimulator(net, seed=0)
         sim.inject(counts)
         want = sim.run("random").output_counts
-        assert list(quiescent_counts(net, counts)) == list(want)
+        assert list(propagate_counts(net, counts)) == list(want)
 
     @settings(max_examples=25, deadline=None)
     @given(random_networks(max_width=6, max_layers=3), st.data())
@@ -231,7 +229,6 @@ class TestDifferential:
         )
         out = propagate_counts(faulty, x)
         assert int(out.sum()) == int(x.sum())  # overrides still conserve
-        assert out.tobytes() == quiescent_counts(faulty, x).tobytes()
 
     def test_reference_oracles_still_agree(self):
         """Belt and braces: the per-balancer references shipped in sim/*
@@ -260,17 +257,18 @@ class TestBackends:
         assert lanes.tobytes() == packed.tobytes()
         assert lanes.tobytes() == legacy_sort_walker(net, zo).tobytes()
 
-    def test_bitsliced_token_is_rejected(self):
+    def test_token_semantics_is_rejected(self):
+        """The token view has no kernel: it is the count kernel."""
         net = k_network([2, 2])
-        with pytest.raises(ValueError, match="bitsliced"):
-            plan_executor(net, backend="bitsliced", semantics="token")
+        for backend in ("int64", "bitsliced"):
+            with pytest.raises(ValueError, match="unknown semantics"):
+                plan_executor(net, backend=backend, semantics="token")
 
     def test_semantics_share_one_scratch_pool_per_backend(self):
         net = k_network([2, 2])
         exc = plan_executor(net, semantics="count")
         exs = plan_executor(net, semantics="sort")
-        ext = plan_executor(net, semantics="token")
-        assert exc.pool is exs.pool is ext.pool
+        assert exc.pool is exs.pool
         assert exc is not exs
 
 

@@ -157,6 +157,20 @@ class TestProfiler:
         assert "layer" in report.layer_table()
         assert "balancer" in report.balancer_table(5)
 
+    @pytest.mark.parametrize("semantics", ["count", "sort"])
+    def test_counts_workload_per_semantics(self, semantics):
+        batch = 8
+        report = obs.profile_network(
+            lambda: k_network([2, 3, 5]), workload="counts", semantics=semantics,
+            batch=batch,
+        )
+        net = k_network([2, 3, 5])
+        assert report.semantics == semantics
+        assert report.bench_payload()["semantics"] == semantics
+        assert len(report.layer_rows) == net.depth
+        assert all(row["time_ms"] >= 0 for row in report.layer_rows)
+        assert [r["visits"] for r in report.balancer_rows] == [batch] * net.size
+
     def test_profile_summary_and_payload(self):
         report = obs.profile_network(lambda: k_network([2, 3]), workload="tokens")
         assert report.summary["build_s"] is not None

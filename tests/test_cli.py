@@ -175,6 +175,16 @@ class TestProfile:
         )
         assert "time_ms" in capsys.readouterr().out
 
+    def test_token_semantics_is_not_a_choice(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "profile", "--widths", "2,2", "--workload", "counts",
+                    "--semantics", "token", "--out-dir", str(tmp_path),
+                ]
+            )
+        assert exc.value.code == 2
+
     def test_profile_leaves_obs_disabled(self, tmp_path):
         import repro.obs as obs
 
