@@ -16,9 +16,10 @@ branchless bitwise kernels:
   inputs reproduces the counting formula ``out[j] = ceil((t - j) / p)``
   exactly;
 * :class:`BitPlan` reuses an :class:`~repro.core.plan.ExecutionPlan`'s
-  segment tables and SSA slice-stores verbatim — only the word type and
-  the per-segment kernel change, so the bit-sliced sweep inherits the flat
-  plan's memory layout and its correctness tests.
+  segment tables, reused state rows and slice-stores verbatim — only the
+  word type and the per-segment kernel change, so the bit-sliced sweep
+  inherits the flat plan's memory layout and its correctness tests.  Like
+  every plan kernel, it gathers a segment's inputs before it stores.
 
 Packing layout (``pack_zero_one``): a ``(B, w)`` 0-1 batch becomes a
 ``(w, ceil(B/64))`` uint64 array — wire-major, batch row ``n`` living in
@@ -130,10 +131,10 @@ def _transpose_sort(rows: np.ndarray, tmp: np.ndarray) -> None:
 class BitPlan:
     """A bit-sliced view over an :class:`~repro.core.plan.ExecutionPlan`.
 
-    Shares the plan's segment tables and SSA wire numbering; state is a
-    ``(num_wires, nwords)`` uint64 array instead of ``(num_wires, batch)``
-    int64.  Segment tables are precomputed as plain Python ints so the
-    per-segment dispatch does no array indexing.
+    Shares the plan's segment tables and state-row numbering; state is a
+    ``(num_wires, nwords)`` uint64 array (``num_wires`` state rows) instead
+    of ``(num_wires, batch)`` int64.  Segment tables are precomputed as
+    plain Python ints so the per-segment dispatch does no array indexing.
     """
 
     __slots__ = ("plan", "width", "num_wires", "segments", "output_idx")
@@ -153,14 +154,6 @@ class BitPlan:
             )
             for i in range(plan.num_segments)
         ]
-
-    @property
-    def max_gather(self) -> int:
-        return max((p * k for p, k, _, _, _ in self.segments), default=0)
-
-    @property
-    def max_count(self) -> int:
-        return max((k for _, k, _, _, _ in self.segments), default=0)
 
     def run_packed(
         self,

@@ -2,10 +2,10 @@
 
 :mod:`repro.core.compiled` groups balancers into *width groups per layer*
 but leaves each group as a small Python object holding ``(k, p)`` index
-matrices, and each evaluation allocates a fresh ``(num_wires, batch)``
-state array.  At the widths the paper targets (thousands of wires, ~10^5
-balancers) that Python-object sweep and the per-call allocation dominate
-wall-clock — the interpreter, not the network, sets the speed.
+matrices.  At the widths the paper targets (thousands of wires, ~10^5
+balancers) a Python-object sweep over those groups, and a state array with
+one row per SSA wire, set the speed — the interpreter and DRAM traffic,
+not the network.
 
 This module lowers a :class:`~repro.core.compiled.CompiledNetwork` one step
 further, to an :class:`ExecutionPlan`:
@@ -14,17 +14,23 @@ further, to an :class:`ExecutionPlan`:
   int64 array** (``in_flat``) with per-segment offset tables
   (``seg_in_off`` / ``seg_out_base`` / ``seg_width`` / ``seg_count``), one
   segment per ``(layer, width)`` pair;
-* SSA wire ids are **renumbered** so that every segment's output wires form
-  one contiguous block, position-major.  Writing a layer's outputs is then a
-  plain slice store (a memcpy), not a fancy scatter — only the gather side
-  pays for indexed addressing;
+* SSA wires are assigned **state rows that are reused once dead**.  A
+  p-balancer consumes ``p`` wires and produces ``p``, so a network of
+  width ``w`` has ``w`` live wires at every layer; each wire has exactly
+  one reader, and every kernel gathers a segment's inputs before it
+  stores, so a segment's input rows are free for its own outputs.  Each
+  segment's outputs take the lowest contiguous run of free rows,
+  position-major: writing a layer is a plain slice store (a memcpy), only
+  the gather side pays for indexed addressing, and the state stays about
+  ``w`` rows instead of one per SSA wire;
 * the per-balancer arithmetic is a pluggable :mod:`~repro.core.semantics`
   kernel — quiescent count transfer or descending compare-exchange — so
   one executor serves the paper's isomorphic network views (the dominant
   width-2 case gets a dedicated branchless kernel in each semantics);
 * a :class:`PlanExecutor` owns a reusable scratch-buffer pool (shared
   across the semantics of one network/backend pair) so steady-state
-  evaluation allocates **nothing** per call, and optionally shards large
+  evaluation allocates **nothing** per call, sweeps wide batches in tiles
+  whose scratch fits in L2 (``_TILE_BYTES``), and optionally shards large
   batches over a process pool (``run_parallel``).
 
 Lowering results are memoized per :class:`~repro.core.network.Network`
@@ -37,7 +43,7 @@ from __future__ import annotations
 
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,6 +65,13 @@ __all__ = [
 #: Execution backends a :class:`PlanExecutor` can run.
 BACKENDS = ("int64", "bitsliced")
 
+#: Scratch bytes one sweep tile may use.  A batch whose state, gather and
+#: totals rows would exceed it is swept in tiles of input vectors, so each
+#: layer's traffic stays in a per-core L2.  On a 2-vCPU Xeon VM with 2 MiB
+#: of L2 per core, a 256-row int64 sort batch of K(2^11) took ~258 ms
+#: untiled, ~228 ms at 256 KiB, ~143 ms at 1 MiB and ~140 ms at 2 MiB.
+_TILE_BYTES = 1 << 20
+
 #: Arrays that round-trip a plan through ``np.savez`` (see ``to_arrays``).
 _ARRAY_FIELDS = (
     "input_idx",
@@ -77,13 +90,14 @@ class ExecutionPlan:
     """A network lowered to flat index arrays plus offset tables.
 
     One *segment* holds every balancer of one width within one layer.
-    Segment ``s`` reads the ``seg_width[s] * seg_count[s]`` wire ids at
+    Segment ``s`` reads the ``seg_width[s] * seg_count[s]`` state rows at
     ``in_flat[seg_in_off[s] : seg_in_off[s+1]]`` (position-major: all the
     position-0 inputs first, then all position-1, ...) and writes the
-    contiguous wire block starting at ``seg_out_base[s]`` in the same
-    position-major order.  Wire ids are plan-local: inputs are renumbered to
-    ``0..width-1`` and every segment's outputs are consecutive, so the only
-    indexed access during evaluation is the input gather.
+    contiguous row block starting at ``seg_out_base[s]`` in the same
+    position-major order, after it has read its inputs.  Inputs live in
+    rows ``0..width-1``; ``num_wires`` counts state rows, which dead wires
+    hand on to later segments, so the only indexed access during
+    evaluation is the input gather.
     """
 
     width: int
@@ -160,22 +174,86 @@ class ExecutionPlan:
                 raise ValueError(f"plan segment table {f} has wrong length")
         if self.seg_in_off.shape != (n + 1,):
             raise ValueError("seg_in_off must have num_segments + 1 entries")
+        if n and (int(self.seg_width.min()) < 1 or int(self.seg_count.min()) < 1):
+            raise ValueError("plan segment width and count must be positive")
         sizes = self.seg_width * self.seg_count
-        if n and int(self.seg_in_off[-1]) != int(sizes.sum()):
-            raise ValueError("seg_in_off does not cover in_flat")
+        if int(self.seg_in_off[0]) != 0 or not np.array_equal(np.diff(self.seg_in_off), sizes):
+            raise ValueError("seg_in_off does not cover in_flat segment by segment")
         if self.in_flat.shape != (int(sizes.sum()),):
             raise ValueError("in_flat length != sum of segment sizes")
         for arr in (self.input_idx, self.output_idx, self.in_flat):
             if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= self.num_wires):
                 raise ValueError("plan wire id out of range")
+        if n and (int(self.seg_out_base.min()) < 0
+                  or int((self.seg_out_base + sizes).max()) > self.num_wires):
+            raise ValueError("plan segment output block out of range")
+        self._validate_dataflow(sizes)
+
+    def _validate_dataflow(self, sizes: np.ndarray) -> None:
+        """Every value a plan writes is read exactly once, after it is written.
+
+        Reused rows make this the invariant a stored plan depends on: a
+        segment that reads a row nothing wrote, or a row whose value was
+        already consumed or overwritten, would silently evaluate garbage.
+        One sweep keeps the rows that hold an unread value.  Each segment
+        must read only such rows, then write only rows that hold none (the
+        kernels gather before they store); the outputs must read exactly
+        the rows still holding one at the end.  A row read twice in one
+        segment leaves one live row too many, which a later write or the
+        last check catches.
+        """
+        live = np.zeros(self.num_wires, dtype=bool)
+        live[self.input_idx] = True
+        if int(np.count_nonzero(live)) != self.width:
+            raise ValueError("plan writes two inputs to one state row")
+        off, out_base = self.seg_in_off.tolist(), self.seg_out_base.tolist()
+        for s, size in enumerate(sizes.tolist()):
+            ins = self.in_flat[off[s] : off[s + 1]]
+            if not live[ins].all():
+                raise ValueError("plan reads a state row that holds no unread value")
+            live[ins] = False
+            block = live[out_base[s] : out_base[s] + size]
+            if block.any():
+                raise ValueError("plan overwrites a value before it is read")
+            block[:] = True
+        if not live[self.output_idx].all():
+            raise ValueError("plan reads a state row that holds no unread value")
+        live[self.output_idx] = False
+        if live.any():
+            raise ValueError("plan reads a value twice or leaves one unread")
+
+
+def _first_fit(free: np.ndarray, n: int) -> tuple[int, np.ndarray]:
+    """Claim the lowest run of ``n`` free rows; grow the mask if none fits.
+
+    ``free`` marks reusable state rows.  Returns the run's first row and the
+    (possibly grown) mask with the run marked used.  Growth extends a free
+    run that reaches the last row, so the state widens by as little as it
+    can.
+    """
+    edges = np.flatnonzero(np.diff(free, prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]
+    fits = np.flatnonzero(ends - starts >= n)
+    if fits.size:
+        start = int(starts[fits[0]])
+    else:
+        start = int(starts[-1]) if ends.size and ends[-1] == free.size else free.size
+        free = np.concatenate((free, np.ones(start + n - free.size, dtype=bool)))
+    free[start : start + n] = False
+    return start, free
 
 
 def lower_plan(net: Network) -> ExecutionPlan:
-    """Lower ``net`` to a fresh :class:`ExecutionPlan` (no memoization)."""
+    """Lower ``net`` to a fresh :class:`ExecutionPlan` (no memoization).
+
+    Wires get state rows in plan order: a segment first frees its input
+    rows (their wires have no other reader), then its outputs take the
+    lowest contiguous run of free rows (:func:`_first_fit`).
+    """
     comp = compile_network(net)
-    remap = np.full(comp.num_wires, -1, dtype=np.int64)
-    remap[comp.input_idx] = np.arange(comp.width, dtype=np.int64)
-    next_wire = comp.width
+    row = np.full(comp.num_wires, -1, dtype=np.int64)  # SSA wire -> state row
+    row[comp.input_idx] = np.arange(comp.width, dtype=np.int64)
+    free = np.zeros(comp.width, dtype=bool)
 
     in_parts: list[np.ndarray] = []
     seg_layer: list[int] = []
@@ -186,25 +264,27 @@ def lower_plan(net: Network) -> ExecutionPlan:
         for g in layer:
             k, p = g.count, g.width
             # Position-major: column j of the (k, p) matrices is contiguous.
-            in_parts.append(remap[np.ascontiguousarray(g.in_idx.T).ravel()])
-            remap[np.ascontiguousarray(g.out_idx.T).ravel()] = np.arange(
-                next_wire, next_wire + p * k, dtype=np.int64
+            ins = row[np.ascontiguousarray(g.in_idx.T).ravel()]
+            in_parts.append(ins)
+            free[ins] = True
+            base, free = _first_fit(free, p * k)
+            row[np.ascontiguousarray(g.out_idx.T).ravel()] = np.arange(
+                base, base + p * k, dtype=np.int64
             )
             seg_layer.append(li)
             seg_width.append(p)
             seg_count.append(k)
-            seg_out_base.append(next_wire)
-            next_wire += p * k
+            seg_out_base.append(base)
 
     sizes = [a.shape[0] for a in in_parts]
-    plan = ExecutionPlan(
+    return ExecutionPlan(
         width=comp.width,
-        num_wires=next_wire,
+        num_wires=int(free.size),
         size=sum(g.count for layer in comp.layers for g in layer),
         depth=comp.depth,
         name=net.name,
         input_idx=np.arange(comp.width, dtype=np.int64),
-        output_idx=np.ascontiguousarray(remap[comp.output_idx]),
+        output_idx=np.ascontiguousarray(row[comp.output_idx]),
         in_flat=(
             np.concatenate(in_parts) if in_parts else np.empty(0, dtype=np.int64)
         ),
@@ -214,7 +294,6 @@ def lower_plan(net: Network) -> ExecutionPlan:
         seg_in_off=np.concatenate(([0], np.cumsum(sizes))).astype(np.int64),
         seg_out_base=np.array(seg_out_base, dtype=np.int64),
     )
-    return plan
 
 
 _plan_cache: "weakref.WeakKeyDictionary[Network, ExecutionPlan]" = weakref.WeakKeyDictionary()
@@ -285,12 +364,10 @@ class _Scratch:
     __slots__ = ("state", "gather", "totals", "numeric", "last_used")
 
     def __init__(self, plan: ExecutionPlan, batch: int, dtype: np.dtype) -> None:
-        sizes = plan.seg_width * plan.seg_count
-        max_flat = int(sizes.max()) if sizes.size else 0
-        max_count = int(plan.seg_count.max()) if plan.seg_count.size else 0
-        # No zero-init needed: every wire read is either a network input
-        # (written from x) or a segment output (written before any reader,
-        # by topological layer order).
+        max_flat, max_count = _scratch_rows(plan)
+        # No zero-init needed: every row read holds a network input (written
+        # from x) or an earlier segment's output (ExecutionPlan._validate
+        # checks this dataflow for every plan loaded from arrays).
         self.state = np.empty((plan.num_wires, batch), dtype=dtype)
         self.gather = np.empty((max_flat, batch), dtype=dtype)
         self.totals = np.empty((max_count, batch), dtype=dtype)
@@ -299,6 +376,24 @@ class _Scratch:
         self.numeric = dtype.kind in "biufc"
         self.last_used = 0
 
+    def narrowed(self, batch: int) -> "_Scratch":
+        """Views of the first ``batch`` columns' worth of storage, each
+        C-contiguous, for a last tile narrower than the pooled one."""
+        view = object.__new__(_Scratch)
+        for name in ("state", "gather", "totals"):
+            buf = getattr(self, name)
+            rows = buf.shape[0]
+            setattr(view, name, buf.reshape(-1)[: rows * batch].reshape(rows, batch))
+        view.numeric = self.numeric
+        return view
+
+
+def _scratch_rows(plan: ExecutionPlan) -> tuple[int, int]:
+    """Rows of the gather and totals scratch: the largest segment size
+    ``p * k`` and the largest balancer count ``k``."""
+    sizes = plan.seg_width * plan.seg_count
+    return int(sizes.max(initial=0)), int(plan.seg_count.max(initial=0))
+
 
 class _BitScratch:
     """One word-count's worth of reusable bit-sliced buffers (uint64)."""
@@ -306,9 +401,10 @@ class _BitScratch:
     __slots__ = ("state", "gather", "tmp", "last_used")
 
     def __init__(self, bitplan: BitPlan, nwords: int) -> None:
+        max_flat, max_count = _scratch_rows(bitplan.plan)
         self.state = np.empty((bitplan.num_wires, nwords), dtype=np.uint64)
-        self.gather = np.empty((bitplan.max_gather, nwords), dtype=np.uint64)
-        self.tmp = np.empty((bitplan.max_count, nwords), dtype=np.uint64)
+        self.gather = np.empty((max_flat, nwords), dtype=np.uint64)
+        self.tmp = np.empty((max_count, nwords), dtype=np.uint64)
         self.last_used = 0
 
 
@@ -379,7 +475,10 @@ class PlanExecutor:
     Scratch buffers are pooled per batch size (a handful of distinct batch
     sizes in practice — the serving path always evaluates one step vector);
     repeated calls with a seen batch size allocate nothing.  The pool keeps
-    at most ``max_pooled`` batch sizes, evicting least-recently-used.
+    at most ``max_pooled`` batch sizes, evicting least-recently-used.  A
+    batch whose scratch would exceed ``_TILE_BYTES`` is swept one tile of
+    input vectors at a time through one pooled tile-sized scratch, so its
+    state stays cache-resident across the layers.
 
     ``buffer_allocs`` / ``buffer_reuses`` count pool misses/hits; they are
     plain attributes (always maintained) and are mirrored into the obs
@@ -412,6 +511,8 @@ class PlanExecutor:
         self.pool = pool if pool is not None else _ScratchPool(max_pooled)
         self.batches = 0
         self._bitplan = BitPlan(plan) if backend == "bitsliced" else None
+        # Scratch elements one input vector needs: state, gather and totals.
+        self._vector_elems = plan.num_wires + sum(_scratch_rows(plan))
         self._workers_pool = None
         self._workers_n = 0
 
@@ -444,12 +545,14 @@ class PlanExecutor:
     # -- evaluation ---------------------------------------------------------
 
     def run(self, x: np.ndarray, layer_times: np.ndarray | None = None) -> np.ndarray:
-        """Evaluate a ``(B, width)`` int64 batch of non-negative counts.
+        """Evaluate a ``(B, width)`` batch under this executor's semantics.
 
-        Returns a fresh ``(B, width)`` output array (the only allocation in
-        steady state).  When ``layer_times`` (a float64 array of length
-        ``depth``) is given, per-layer wall-clock seconds are accumulated
-        into it; the arithmetic is identical either way.
+        ``count`` takes non-negative counts and evaluates in int64; ``sort``
+        evaluates in the input's own dtype (numbers, strings, ...).  Returns
+        a fresh ``(B, width)`` output array (the only allocation in steady
+        state).  When ``layer_times`` (a float64 array of length ``depth``)
+        is given, per-layer wall-clock seconds are accumulated into it, over
+        every tile of a tiled batch; the arithmetic is identical either way.
         """
         if not _obs.enabled:
             return self._run_impl(x, layer_times)
@@ -478,6 +581,10 @@ class PlanExecutor:
         rec.finish(span, "ok")
         return out
 
+    def _tile_rows(self, dtype: np.dtype) -> int:
+        """Input vectors per tile: as many as fit ``_TILE_BYTES`` of scratch."""
+        return _TILE_BYTES // (self._vector_elems * dtype.itemsize)
+
     def _run_impl(self, x: np.ndarray, layer_times: np.ndarray | None = None) -> np.ndarray:
         plan = self.plan
         if x.ndim != 2 or x.shape[1] != plan.width:
@@ -487,15 +594,27 @@ class PlanExecutor:
             packed, batch = pack_zero_one(x)
             out = self._run_packed_impl(packed, layer_times)
             return unpack_zero_one(out, batch)
-        sem = self.semantics
-        x = sem.prepare(x)
+        x = self.semantics.prepare(x)
         batch = x.shape[0]
         self.batches += 1
-        s = self.pool.scratch(plan, batch, x.dtype)
+        tile = max(1, min(batch, self._tile_rows(x.dtype)))
+        s = self.pool.scratch(plan, tile, x.dtype)
+        out = np.empty(x.shape, dtype=x.dtype)
+        for lo in range(0, batch, tile):
+            hi = min(lo + tile, batch)
+            part = s if hi - lo == tile else s.narrowed(hi - lo)
+            self._sweep(x[lo:hi], part, out[lo:hi], layer_times)
+        return out
+
+    def _sweep(
+        self, x: np.ndarray, s: _Scratch, out: np.ndarray, layer_times: np.ndarray | None
+    ) -> None:
+        """Run every segment over ``x`` (one tile) in ``s`` and write the
+        network outputs into ``out``, the tile's rows of the result."""
+        plan = self.plan
         state = s.state
         state[plan.input_idx] = x.T
-
-        segment = sem.segment
+        segment = self.semantics.segment
         seg_width = plan.seg_width
         seg_count = plan.seg_count
         seg_in_off = plan.seg_in_off
@@ -518,7 +637,7 @@ class PlanExecutor:
                     int(seg_in_off[i]), int(seg_out_base[i]),
                 )
                 layer_times[int(seg_layer[i])] += time.perf_counter() - t0
-        return state[plan.output_idx].T.copy()
+        state.take(plan.output_idx, axis=0, out=out.T, mode="clip")
 
     # -- bit-sliced evaluation ----------------------------------------------
 
@@ -567,7 +686,7 @@ class PlanExecutor:
         pool = self._ensure_pool(workers)
         if pool is None:
             return self.run(x)
-        x = np.ascontiguousarray(x, dtype=np.int64)
+        x = self.semantics.prepare(x)
         shards = np.array_split(x, workers)
         if _obs.enabled:
             from ..obs.metrics import default_registry

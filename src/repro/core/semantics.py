@@ -7,8 +7,8 @@ sweep is parameterized by a small kernel object:
 
 ``CountSemantics``
     The quiescent-count transfer ``out[j] = ceil((T - j) / p)``: the
-    branchless width-2 shift kernel plus the general in-place
-    floor-divide kernel.
+    branchless width-2 shift kernel plus the general in-place kernel
+    ``(T + p - 1 - j) // p``.
 ``SortSemantics``
     Descending compare-exchange: width-2 balancers become a branchless
     ``np.maximum`` / ``np.minimum`` pair, general ``p``-comparators an
@@ -54,8 +54,8 @@ class Semantics:
     segment of ``k`` balancers of width ``p`` in place — plus
     :meth:`prepare` (input casting policy) and :meth:`apply_overridden`
     (the per-balancer fault sweep).  Instances are stateless singletons
-    shared by every executor; the only mutable member is the tiny
-    per-width offset-column cache.
+    shared by every executor; the only mutable member is the count
+    kernel's tiny per-width bias-column cache.
 
     Kernel gathers use ``np.take(..., mode="clip")``: the default
     ``mode="raise"`` spends a full extra pass bounds-checking the index
@@ -66,17 +66,6 @@ class Semantics:
 
     #: Registry name; also stamped into spans and executor stats.
     name = "semantics"
-
-    def __init__(self) -> None:
-        # Per-width position column (p, 1, 1), shared across executors.
-        self._offsets: dict[int, np.ndarray] = {}
-
-    def _offset_col(self, p: int) -> np.ndarray:
-        col = self._offsets.get(p)
-        if col is None:
-            col = np.arange(p, dtype=np.int64)[:, None, None]
-            self._offsets[p] = col
-        return col
 
     def prepare(self, x: np.ndarray) -> np.ndarray:
         """Cast a validated ``(B, w)`` batch to the evaluation dtype."""
@@ -93,6 +82,18 @@ class CountSemantics(Semantics):
     """Quiescent-count transfer (the original plan kernels)."""
 
     name = "count"
+
+    def __init__(self) -> None:
+        # Per-width bias column (p - 1 - j) of shape (p, 1, 1), shared
+        # across executors.
+        self._bias: dict[int, np.ndarray] = {}
+
+    def _bias_col(self, p: int) -> np.ndarray:
+        col = self._bias.get(p)
+        if col is None:
+            col = np.arange(p - 1, -1, -1, dtype=np.int64)[:, None, None]
+            self._bias[p] = col
+        return col
 
     def segment(self, state, scratch, in_flat, p: int, k: int, off: int, ob: int) -> None:
         if p == 2:
@@ -112,9 +113,9 @@ class CountSemantics(Semantics):
         tot = scratch.totals[:k]
         vals.sum(axis=0, out=tot)
         out = state[ob : ob + size].reshape(p, k, -1)
-        # out[j] = (tot - j + p - 1) // p, computed without temporaries.
-        np.subtract(tot[None, :, :], self._offset_col(p), out=out)
-        np.add(out, p - 1, out=out)
+        # out[j] = (tot + (p - 1 - j)) // p: one add of the cached bias
+        # column, then one division, without temporaries.
+        np.add(tot[None, :, :], self._bias_col(p), out=out)
         np.floor_divide(out, p, out=out)
 
     def apply_overridden(self, net, x: np.ndarray, overrides: dict) -> np.ndarray:

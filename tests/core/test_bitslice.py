@@ -321,7 +321,9 @@ class TestExecutorSurface:
         bp = BitPlan(plan)
         assert bp.width == plan.width and bp.num_wires == plan.num_wires
         assert len(bp.segments) == plan.num_segments
-        assert bp.max_gather >= bp.max_count > 0
+        assert [seg[:2] for seg in bp.segments] == list(
+            zip(plan.seg_width.tolist(), plan.seg_count.tolist())
+        )
 
 
 class TestCachedBitPlan:

@@ -216,3 +216,167 @@ class TestPlanArrays:
         mangle(arrays)
         with pytest.raises((ValueError, KeyError)):
             ExecutionPlan.from_arrays(arrays)
+
+
+# ---------------------------------------------------------------------------
+# Row reuse: the state holds about `width` rows, not one per SSA wire.
+# ---------------------------------------------------------------------------
+
+
+def _k222_with_stale_reads() -> dict[str, np.ndarray]:
+    """K(2,2,2)'s plan arrays with the last segment moved to fresh rows 8..15.
+
+    The outputs are still read from rows 0..7, which now hold the values
+    the last segment already consumed: every row read was written, but not
+    by the write the plan depends on.
+    """
+    plan = lower_network(k_network([2, 2, 2]))
+    assert plan.num_wires == plan.width == 8
+    arrays = {k: v.copy() for k, v in plan.to_arrays().items()}
+    arrays["scalars"][1] = 16
+    arrays["seg_out_base"][-1] = 8
+    return arrays
+
+
+class TestRowReuse:
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_binary_k_state_is_exactly_width(self, k):
+        assert lower_network(k_network([2] * k)).num_wires == 2**k
+
+    def test_stale_read_plan_would_evaluate_garbage(self):
+        # Why the dataflow check exists: built without validation, the
+        # corrupted plan runs and silently returns a wrong answer.
+        fields = dict(_k222_with_stale_reads())
+        width, num_wires, size, depth = (int(v) for v in fields.pop("scalars"))
+        bad = ExecutionPlan(width=width, num_wires=num_wires, size=size,
+                            depth=depth, name="bad", **fields)
+        x = _random_batch(k_network([2, 2, 2]), 4, 11)
+        good = PlanExecutor(lower_network(k_network([2, 2, 2]))).run(x)
+        assert not np.array_equal(PlanExecutor(bad).run(x), good)
+
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (lambda a: a.update(seg_out_base=a["seg_out_base"] + 1), "output block"),
+            # Rows 8..15 exist but nothing ever writes them.
+            (lambda a: (a["scalars"].__setitem__(1, 16), a["in_flat"].__setitem__(0, 9)),
+             "holds no unread value"),
+            (lambda a: a.update(_k222_with_stale_reads()), "holds no unread value"),
+            # Segment 0 reads row 4 twice and never reads row 0, which its
+            # output block then overwrites.
+            (lambda a: a["in_flat"].__setitem__(0, a["in_flat"][1]), "overwrites a value"),
+            (lambda a: a["output_idx"].__setitem__(0, a["output_idx"][1]), "twice or leaves one"),
+            (lambda a: a["input_idx"].__setitem__(0, 1), "two inputs"),
+            (lambda a: a["seg_in_off"].__setitem__(1, a["seg_in_off"][1] - 2), "seg_in_off"),
+        ],
+    )
+    def test_rejects_plans_with_broken_dataflow(self, mangle, message):
+        plan = lower_network(k_network([2, 2, 2]))
+        arrays = {k: v.copy() for k, v in plan.to_arrays().items()}
+        mangle(arrays)
+        with pytest.raises(ValueError, match=message):
+            ExecutionPlan.from_arrays(arrays)
+
+    def test_rejects_write_over_an_unread_value(self):
+        # Wire 2 passes the only balancer by; moving the balancer's output
+        # block up one row overwrites it before the outputs read it.
+        b = NetworkBuilder(3)
+        w = list(b.inputs)
+        plan = lower_network(b.finish(b.balancer(w[:2]) + [w[2]], name="partial"))
+        arrays = {k: v.copy() for k, v in plan.to_arrays().items()}
+        assert arrays["seg_out_base"][0] == 0 and plan.num_wires == 3
+        arrays["seg_out_base"][0] = 1
+        with pytest.raises(ValueError, match="overwrites a value"):
+            ExecutionPlan.from_arrays(arrays)
+
+    def test_cache_counts_stale_read_plan_corrupt_and_relowers(self, tmp_path):
+        from repro.core.cache import PlanCache, cached_plan
+
+        cache = PlanCache(tmp_path)
+        factors = [2, 2, 2]
+        cached_plan("K", factors, lambda: k_network(factors), cache=cache)
+        key = PlanCache.entry_key("plan", "K", factors)
+        np.savez(tmp_path / f"{key}.npz", **_k222_with_stale_reads())
+        plan = cached_plan("K", factors, lambda: k_network(factors), cache=cache)
+        assert cache.stats()["corrupt"] == 1
+        x = _random_batch(k_network(factors), 4, 12)
+        assert np.array_equal(PlanExecutor(plan).run(x), _reference_batch(k_network(factors), x))
+
+
+# ---------------------------------------------------------------------------
+# Tiled sweeps of wide batches.
+# ---------------------------------------------------------------------------
+
+
+class _TickClock:
+    """``time`` stand-in whose ``perf_counter`` advances 1.0 per call, so
+    every timed segment adds exactly 1.0 to its layer."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def perf_counter(self) -> float:
+        self.now += 1.0
+        return self.now
+
+
+class TestTiling:
+    def _tiled_batch(self, ex, seed: int) -> np.ndarray:
+        """Two full tiles plus a remainder, sized from the executor."""
+        tile = ex._tile_rows(np.dtype(np.int64))
+        return _random_batch(k_network([2] * 7), 2 * tile + 7, seed)
+
+    def test_wide_batch_is_tiled_and_matches_row_by_row(self):
+        net = k_network([2] * 7)
+        ex = PlanExecutor(lower_network(net))
+        x = self._tiled_batch(ex, 13)
+        assert x.shape[0] > ex._tile_rows(x.dtype) > 1
+        out = ex.run(x)
+        rows = np.concatenate([ex.run(x[i : i + 1]) for i in range(x.shape[0])])
+        assert out.dtype == x.dtype and out.tobytes() == rows.tobytes()
+        steps = (x.sum(axis=1)[:, None] - np.arange(net.width) + net.width - 1) // net.width
+        assert np.array_equal(out, steps)
+
+    def test_layer_times_accumulate_over_every_tile(self, monkeypatch):
+        import repro.core.plan as plan_mod
+
+        net = k_network([2] * 7)
+        ex = PlanExecutor(lower_network(net))
+        x = self._tiled_batch(ex, 14)
+        monkeypatch.setattr(plan_mod, "time", _TickClock())
+        times = np.zeros(ex.plan.depth, dtype=np.float64)
+        ex.run(x, layer_times=times)
+        tiles = -(-x.shape[0] // ex._tile_rows(x.dtype))
+        assert tiles == 3
+        assert np.array_equal(times, ex.plan.layer_segment_counts() * float(tiles))
+
+    def test_repeated_tiled_calls_allocate_nothing(self):
+        net = k_network([2] * 7)
+        ex = PlanExecutor(lower_network(net), semantics="sort")
+        x = self._tiled_batch(ex, 15)
+        ex.run(x)  # warm-up: one tile-sized scratch, remainder tile included
+        allocs, reuses = ex.buffer_allocs, ex.buffer_reuses
+        assert allocs == 1
+        for seed in range(4):
+            ex.run(self._tiled_batch(ex, seed))
+        assert ex.buffer_allocs == allocs
+        assert ex.buffer_reuses == reuses + 4
+
+
+class TestRunParallelDtype:
+    @pytest.mark.parametrize("dtype", [np.float64, np.int8])
+    def test_sort_batches_keep_dtype_and_bytes(self, dtype):
+        net = k_network([2, 2, 2])
+        ex = plan_executor(net, semantics="sort")
+        rng = np.random.default_rng(3)
+        if dtype == np.float64:
+            x = rng.random((16, net.width))
+        else:
+            x = rng.integers(-100, 100, size=(16, net.width)).astype(np.int8)
+        try:
+            sharded = ex.run_parallel(x, 2)
+        finally:
+            ex.close_pool()
+        serial = ex.run(x)
+        assert sharded.dtype == serial.dtype == x.dtype
+        assert sharded.tobytes() == serial.tobytes()

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core import Network, NetworkBuilder
 from repro.core.compiled import compile_network
-from repro.core.plan import plan_executor
+from repro.core.plan import ExecutionPlan, PlanExecutor, lower_plan, plan_executor
 from repro.core.semantics import _MAX_CE_WIDTH, _ce_pairs, get_semantics
 from repro.faults.harness import run_conformance, verifiers_for_backend
 from repro.faults.mutator import stuck_balancer
@@ -158,15 +158,37 @@ class TestCEKernel:
         assert out.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
+class TestCountKernel:
+    @pytest.mark.parametrize("p", range(2, 10))
+    def test_count_kernel_every_width(self, p):
+        """The width-p count kernel (a shift for p = 4, 8) against the
+        divmod walker, on large totals."""
+        b = NetworkBuilder(p)
+        net = b.finish(list(b.balancer(list(b.inputs))), name=f"b{p}")
+        x = np.random.default_rng(p).integers(0, 1 << 40, size=(64, p))
+        assert propagate_counts(net, x).tobytes() == legacy_count_walker(net, x).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Plan path == legacy walkers, byte-identical
 # ---------------------------------------------------------------------------
+
+
+def _assert_rows_within_bounds(net: Network) -> None:
+    """The row-reusing layout never needs more rows than SSA wires, never
+    fewer than the width, and passes the dataflow check on reload."""
+    plan = lower_plan(net)
+    assert net.width <= plan.num_wires <= net.num_wires
+    ExecutionPlan.from_arrays(plan.to_arrays())
 
 
 class TestDifferential:
     @settings(max_examples=60, deadline=None)
     @given(random_networks(), st.data())
     def test_irregular_networks_all_semantics(self, net, data):
+        # Partially balanced, mixed-width layers are where a reused state
+        # row could be clobbered before it is read.
+        _assert_rows_within_bounds(net)
         x = np.array(
             data.draw(
                 st.lists(st.integers(0, 30), min_size=net.width, max_size=net.width)
@@ -184,6 +206,7 @@ class TestDifferential:
     @pytest.mark.parametrize("build", FAMILY_NETS)
     def test_families_batch_byte_identity(self, build):
         net = build()
+        _assert_rows_within_bounds(net)
         rng = np.random.default_rng(0)
         x = rng.integers(0, 64, size=(32, net.width))
         assert propagate_counts(net, x).tobytes() == legacy_count_walker(net, x).tobytes()
@@ -240,6 +263,44 @@ class TestDifferential:
             assert list(propagate_counts_reference(net, x)) == list(
                 legacy_count_walker(net, x)[0]
             )
+
+
+# ---------------------------------------------------------------------------
+# Tiled sweeps, against the same oracles
+# ---------------------------------------------------------------------------
+
+
+def _tiled_values(net: Network, rows: int, dtype: np.dtype, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if dtype.kind == "f":
+        return rng.random((rows, net.width)).astype(dtype)
+    return rng.integers(0, 100, size=(rows, net.width)).astype(dtype)
+
+
+class TestTiling:
+    @pytest.mark.parametrize("build", FAMILY_NETS)
+    @pytest.mark.parametrize(
+        "semantics, dtype",
+        [("count", "int64"), ("sort", "int64"), ("sort", "float64"),
+         ("sort", "int8"), ("sort", "<U2")],
+    )
+    def test_tiled_batches_match_row_by_row_and_walkers(
+        self, build, semantics, dtype, monkeypatch
+    ):
+        import repro.core.plan as plan_mod
+
+        # A small tile budget keeps the row-by-row oracle cheap; the tiles
+        # are sized from the executor exactly as at the real budget.
+        monkeypatch.setattr(plan_mod, "_TILE_BYTES", 4096)
+        net = build()
+        ex = PlanExecutor(lower_plan(net), semantics=semantics)
+        tile = ex._tile_rows(np.dtype(dtype))
+        x = _tiled_values(net, 2 * tile + max(tile // 2, 1), np.dtype(dtype), tile)
+        out = ex.run(x)
+        rows = np.concatenate([ex.run(x[i : i + 1]) for i in range(x.shape[0])])
+        walker = legacy_count_walker if semantics == "count" else legacy_sort_walker
+        assert out.dtype == rows.dtype
+        assert out.tobytes() == rows.tobytes() == walker(net, x).tobytes()
 
 
 # ---------------------------------------------------------------------------
