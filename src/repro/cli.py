@@ -284,7 +284,7 @@ def _profile(args: argparse.Namespace) -> int:
     json_path = obs.write_bench_json(
         "profile", report.bench_payload(), directory=out_dir, family=args.construction
     )
-    trace_path = report.tracer.export_jsonl(out_dir / "BENCH_profile_trace.jsonl")
+    trace_path = obs.write_jsonl(out_dir / "BENCH_profile_trace.jsonl", report.spans.to_dicts())
     print(f"\nwrote {json_path} and {trace_path}")
     return 0
 

@@ -100,9 +100,9 @@ def _obs_count(name: str) -> None:
 
 def _obs_trace(event: str, **fields) -> None:
     if _obs.enabled:
-        from ..obs.tracer import default_tracer
+        from ..obs.spans import default_span_recorder
 
-        default_tracer().record(event, **fields)
+        default_span_recorder().event(event, **fields)
 
 
 def _network_arrays(net: Network) -> dict[str, np.ndarray]:

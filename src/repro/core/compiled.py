@@ -14,13 +14,11 @@ instance in a ``WeakKeyDictionary`` so repeated simulations are cheap.
 
 from __future__ import annotations
 
-import time
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs import runtime as _obs
 from .network import Network
 
 __all__ = ["WidthGroup", "CompiledNetwork", "compile_network"]
@@ -78,13 +76,8 @@ def compile_network(net: Network) -> CompiledNetwork:
     """Compile (and memoize) ``net`` into a :class:`CompiledNetwork`."""
     cached = _cache.get(net)
     if cached is not None:
-        if _obs.enabled:
-            from ..obs.metrics import default_registry
-
-            default_registry().counter("core.compile_cache_hits").inc()
         return cached
 
-    t0 = time.perf_counter()
     layers: list[tuple[WidthGroup, ...]] = []
     for layer in net.layers():
         by_width: dict[int, list] = {}
@@ -106,19 +99,4 @@ def compile_network(net: Network) -> CompiledNetwork:
         layers=tuple(layers),
     )
     _cache[net] = compiled
-    if _obs.enabled:
-        from ..obs.metrics import DEFAULT_TIME_BUCKETS, default_registry
-        from ..obs.tracer import default_tracer
-
-        dur = time.perf_counter() - t0
-        reg = default_registry()
-        reg.counter("core.compiles").inc()
-        reg.histogram("core.compile_seconds", DEFAULT_TIME_BUCKETS).observe(dur)
-        default_tracer().record(
-            "compile",
-            network=net.name,
-            layers=compiled.depth,
-            balancers=net.size,
-            dur_s=round(dur, 9),
-        )
     return compiled

@@ -449,18 +449,14 @@ class NetworkBuilder:
         )
         if _obs.enabled:
             from ..obs.metrics import DEFAULT_TIME_BUCKETS, default_registry
-            from ..obs.tracer import default_tracer
+            from ..obs.spans import default_span_recorder
 
             dur = time.perf_counter() - self._t_build_start
             reg = default_registry()
             reg.counter("core.builds").inc()
             reg.histogram("core.build_seconds", DEFAULT_TIME_BUCKETS).observe(dur)
-            default_tracer().record(
-                "build",
-                network=name,
-                width=net.width,
-                balancers=net.size,
-                dur_s=round(dur, 9),
+            default_span_recorder().event(
+                "build", dur, network=name, width=net.width, balancers=net.size
             )
         return net
 

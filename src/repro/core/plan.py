@@ -118,13 +118,6 @@ class ExecutionPlan:
     def num_segments(self) -> int:
         return int(self.seg_width.shape[0])
 
-    def layer_segment_counts(self) -> np.ndarray:
-        """Segments per layer (length ``depth``); used by instrumentation."""
-        counts = np.zeros(max(self.depth, 1), dtype=np.int64)
-        for li in self.seg_layer:
-            counts[int(li)] += 1
-        return counts
-
     @property
     def nbytes(self) -> int:
         """Total bytes of the plan's index arrays."""
@@ -316,18 +309,15 @@ def lower_network(net: Network) -> ExecutionPlan:
     _plan_cache[net] = plan
     if _obs.enabled:
         from ..obs.metrics import DEFAULT_TIME_BUCKETS, default_registry
-        from ..obs.tracer import default_tracer
+        from ..obs.spans import default_span_recorder
 
         dur = time.perf_counter() - t0
         reg = default_registry()
         reg.counter("core.plan_lowerings").inc()
         reg.histogram("core.plan_lower_seconds", DEFAULT_TIME_BUCKETS).observe(dur)
-        default_tracer().record(
-            "plan_lower",
-            network=net.name,
-            segments=plan.num_segments,
+        default_span_recorder().event(
+            "plan_lower", dur, network=net.name, segments=plan.num_segments,
             balancers=plan.size,
-            dur_s=round(dur, 9),
         )
     return plan
 
@@ -560,7 +550,7 @@ class PlanExecutor:
 
         rec = default_span_recorder()
         parent = rec.current_batch
-        span = rec.start(
+        with rec.span(
             "executor",
             parent_id=None if parent is None else parent.span_id,
             plan=self.plan.name,
@@ -568,18 +558,12 @@ class PlanExecutor:
             semantics=self.semantics.name,
             run=self.batches,
             rows=int(x.shape[0]) if x.ndim == 2 else None,
-        )
-        if parent is not None:
-            # Bidirectional linkage: the batch span names the executor run
-            # that evaluated it, and the executor span points back up.
-            parent.fields["executor_run"] = span.span_id
-        try:
-            out = self._run_impl(x, layer_times)
-        except Exception:
-            rec.finish(span, "error")
-            raise
-        rec.finish(span, "ok")
-        return out
+        ) as span:
+            if parent is not None:
+                # Bidirectional linkage: the batch span names the executor run
+                # that evaluated it, and the executor span points back up.
+                parent.fields["executor_run"] = span.span_id
+            return self._run_impl(x, layer_times)
 
     def _tile_rows(self, dtype: np.dtype) -> int:
         """Input vectors per tile: as many as fit ``_TILE_BYTES`` of scratch."""

@@ -7,9 +7,10 @@ behaviour under asynchronous schedules); this package is how the repo
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters, gauges,
   fixed-bucket histograms, and dense per-index vector counters, plus a
   process-global default registry;
-* :mod:`repro.obs.tracer` — a structured event :class:`Tracer` with a
-  bounded ring buffer and JSON-lines export (``Tracer.span("compile")``,
-  :func:`trace_event`);
+* :mod:`repro.obs.spans` — the one trace model: every trace item is a
+  :class:`Span` in the bounded ring of a :class:`SpanRecorder`, whether a
+  request, a plan run, or a simulator step (``SpanRecorder.span("build")``,
+  :meth:`SpanRecorder.event`);
 * :mod:`repro.obs.profiler` — the ``repro profile`` engine: build a
   network, run a workload, return per-layer / per-balancer hot-spot tables
   and a ``BENCH_profile.json`` payload.
@@ -22,10 +23,10 @@ the environment, :func:`enable`, or scoped::
 
     import repro.obs as obs
 
-    with obs.capture() as (registry, tracer):
+    with obs.capture() as (registry, spans):
         propagate_counts(net, batch)
     print(registry.snapshot()["sim.counts.batches"])
-    tracer.export_jsonl("trace.jsonl")
+    obs.write_jsonl("trace.jsonl", spans.to_dicts())
 """
 
 from __future__ import annotations
@@ -60,14 +61,6 @@ from .spans import (
     default_span_recorder,
     set_default_span_recorder,
 )
-from .tracer import (
-    Tracer,
-    TraceEvent,
-    default_tracer,
-    set_default_tracer,
-    span,
-    trace_event,
-)
 
 __all__ = [
     "enabled",
@@ -84,12 +77,6 @@ __all__ = [
     "DEFAULT_TIME_BUCKETS",
     "default_registry",
     "set_default_registry",
-    "Tracer",
-    "TraceEvent",
-    "default_tracer",
-    "set_default_tracer",
-    "trace_event",
-    "span",
     "Span",
     "SpanRecorder",
     "default_span_recorder",
@@ -127,34 +114,26 @@ def disable() -> None:
 
 
 @contextmanager
-def capture(
-    registry: MetricsRegistry | None = None,
-    tracer: Tracer | None = None,
-    spans: SpanRecorder | None = None,
-) -> Iterator[tuple[MetricsRegistry, Tracer]]:
-    """Enable observability into *fresh* default registry/tracer, scoped.
+def capture(spans: SpanRecorder | None = None) -> Iterator[tuple[MetricsRegistry, SpanRecorder]]:
+    """Enable observability into a *fresh* default registry and recorder, scoped.
 
-    Swaps the process-global registry, tracer, and span recorder for the
-    given (or new) ones, enables recording, and restores everything —
-    including the previous enabled-state — on exit.  This is how the
-    profiler and tests observe a workload without inheriting or leaking
-    global metric state.  Yields ``(registry, tracer)``; reach the scoped
-    span recorder via :func:`default_span_recorder` inside the block.
+    Swaps the process-global registry and span recorder for a new registry
+    and ``spans`` (a new 4,096-span recorder by default), enables recording,
+    and restores everything — including the previous enabled-state — on
+    exit.  This is how the profiler and tests observe a workload without
+    inheriting or leaking global metric state.  Yields ``(registry, spans)``.
     """
-    registry = registry if registry is not None else MetricsRegistry()
-    tracer = tracer if tracer is not None else Tracer()
+    registry = MetricsRegistry()
     spans = spans if spans is not None else SpanRecorder()
     prev_registry = set_default_registry(registry)
-    prev_tracer = set_default_tracer(tracer)
     prev_spans = set_default_span_recorder(spans)
     prev_enabled = runtime.enabled
     runtime.enabled = True
     try:
-        yield registry, tracer
+        yield registry, spans
     finally:
         runtime.enabled = prev_enabled
         set_default_registry(prev_registry)
-        set_default_tracer(prev_tracer)
         set_default_span_recorder(prev_spans)
 
 

@@ -18,7 +18,7 @@ metrics into per-layer and per-balancer tables:
 
 The result carries everything the CLI needs: table rows for
 :func:`repro.analysis.format_table`, a JSON payload for
-``BENCH_profile.json``, and the tracer whose ring buffer becomes the
+``BENCH_profile.json``, and the span recorder whose ring becomes the
 JSON-lines trace file.
 
 Heavy imports (:mod:`repro.sim`, :mod:`repro.networks`) are deferred into
@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .metrics import MetricsRegistry
-from .tracer import Tracer
+from .spans import SpanRecorder
 
 __all__ = ["ProfileReport", "profile_network", "WORKLOADS"]
 
@@ -44,6 +44,10 @@ WORKLOADS = ("tokens", "contention", "counts")
 
 #: Metric namespace (``sim.<ns>.*``) each plan semantics reports under.
 _SEM_NAMESPACE = {"count": "counts", "sort": "sort"}
+
+#: Span ring capacity for a profile: room for a ``tokens`` run's per-hop
+#: spans, where a server's flight ring keeps only the newest 4,096.
+_TRACE_CAPACITY = 65_536
 
 
 @dataclass
@@ -56,7 +60,7 @@ class ProfileReport:
     layer_rows: list[dict]
     balancer_rows: list[dict]
     registry: MetricsRegistry
-    tracer: Tracer
+    spans: SpanRecorder
     metric_rows: list[dict] = field(default_factory=list)
     semantics: str = "count"
 
@@ -121,8 +125,6 @@ def profile_network(
     workers: int | None = None,
     seed: int = 0,
     semantics: str = "count",
-    registry: MetricsRegistry | None = None,
-    tracer: Tracer | None = None,
 ) -> ProfileReport:
     """Profile ``build()`` (or an existing network) under ``workload``.
 
@@ -131,12 +133,14 @@ def profile_network(
     are count-only.
 
     Runs inside :func:`repro.obs.capture`, so the process-global registry
-    and tracer are swapped for fresh ones and restored afterwards; the
-    returned report owns the captured instruments.
+    and span recorder are swapped for fresh ones and restored afterwards;
+    the returned report owns the captured instruments.  The summary times
+    the build and the plan lowering (``build_s``, ``lower_s``) apart from
+    the workload (``workload_s``).
     """
     from . import capture  # late: repro.obs.__init__ finishes before first call
-    from ..core.compiled import compile_network
     from ..core.network import Network
+    from ..core.plan import lower_network
 
     if workload not in WORKLOADS:
         raise ValueError(f"unknown workload {workload!r}; choose from {WORKLOADS}")
@@ -150,14 +154,14 @@ def profile_network(
             f"plan) workload, not {workload!r}"
         )
 
-    with capture(registry, tracer) as (reg, tr):
-        with tr.span("profile.build") as build_info:
+    with capture(SpanRecorder(_TRACE_CAPACITY)) as (reg, spans):
+        with spans.span("profile.build") as build_span:
             net = build() if callable(build) else build
             if not isinstance(net, Network):
                 raise TypeError(f"build must produce a Network, got {type(net).__name__}")
-            build_info["network"] = net.name
-        with tr.span("profile.compile", network=net.name):
-            compile_network(net)
+            build_span.fields["network"] = net.name
+        with spans.span("profile.lower", network=net.name) as lower_span:
+            lower_network(net)
 
         t0 = time.perf_counter()
         workload_summary = _run_workload(
@@ -166,16 +170,14 @@ def profile_network(
         )
         workload_s = time.perf_counter() - t0
 
-    build_ev = next((e for e in tr.events("profile.build")), None)
-    compile_ev = next((e for e in tr.events("profile.compile")), None)
     layer_rows, balancer_rows = _hotspot_rows(net, workload, reg, semantics=semantics)
 
     summary = {
-        "build_s": build_ev.fields["dur_s"] if build_ev else None,
-        "compile_s": compile_ev.fields["dur_s"] if compile_ev else None,
+        "build_s": round(build_span.dur_s, 9),
+        "lower_s": round(lower_span.dur_s, 9),
         "workload_s": round(workload_s, 6),
-        "trace_events": len(tr),
-        "trace_dropped": tr.dropped,
+        "trace_spans": len(spans),
+        "trace_dropped": spans.dropped,
         **workload_summary,
     }
     if workload == "tokens":
@@ -195,7 +197,7 @@ def profile_network(
         layer_rows=layer_rows,
         balancer_rows=balancer_rows,
         registry=reg,
-        tracer=tr,
+        spans=spans,
         metric_rows=reg.as_rows(),
         semantics=semantics,
     )
@@ -268,11 +270,12 @@ def _hotspot_rows(
         per_balancer = batches.value if batches is not None else 0  # type: ignore[union-attr]
         visits = np.full(net.size, per_balancer)
         waits = None
+    # The sharded sweep (``workers=``) does not time layers: no vector, no
+    # ``time_ms`` column, rather than a column of zeros.
+    layer_name = f"sim.{_SEM_NAMESPACE[semantics]}.layer_seconds"
     layer_seconds = (
-        _vector_values(
-            reg, f"sim.{_SEM_NAMESPACE[semantics]}.layer_seconds", max(net.depth, 1)
-        )
-        if workload == "counts"
+        _vector_values(reg, layer_name, max(net.depth, 1))
+        if workload == "counts" and reg.get(layer_name) is not None
         else None
     )
 

@@ -195,15 +195,10 @@ class CountingService:
         if span is None and _obs.enabled:
             from ..obs.spans import default_span_recorder
 
-            rec = default_span_recorder()
-            span = rec.start("request", verb="inc", amount=amount, origin="service")
-            try:
-                values = await self._batcher.submit(amount, span)
-            except Exception:
-                rec.finish(span, "error")
-                raise
-            rec.finish(span, "ok")
-            return values
+            with default_span_recorder().span(
+                "request", verb="inc", amount=amount, origin="service"
+            ) as span:
+                return await self._batcher.submit(amount, span)
         return await self._batcher.submit(amount, span)
 
     # -- introspection ------------------------------------------------------

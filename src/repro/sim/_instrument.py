@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.network import Network
 from ..core.plan import PlanExecutor
 
 __all__ = ["record_batch_metrics", "run_instrumented"]
@@ -32,47 +31,23 @@ def record_batch_metrics(namespace: str, batch: int) -> None:
     reg.histogram(f"sim.{namespace}.batch_size").observe(batch)
 
 
-def run_instrumented(
-    net: Network,
-    ex: PlanExecutor,
-    x: np.ndarray,
-    namespace: str,
-    event: str | None = None,
-) -> np.ndarray:
+def run_instrumented(ex: PlanExecutor, x: np.ndarray, namespace: str) -> np.ndarray:
     """The same plan sweep as the fast path, with per-layer timing.
 
     Accumulates per-layer wall-clock into the
-    ``sim.<namespace>.layer_seconds`` metric vector and emits one trace
-    event per layer (``event``, default ``<namespace>_layer``; the counting
-    path keeps its historical ``count_layer`` name).
+    ``sim.<namespace>.layer_seconds`` metric vector.  Per-layer time stays a
+    vector rather than one span per layer: ``depth`` spans per sweep would
+    crowd the request spans out of a server's bounded span ring.
     """
     from ..obs.metrics import default_registry
-    from ..obs.tracer import default_tracer
 
     plan = ex.plan
-    batch = x.shape[0]
-    record_batch_metrics(namespace, batch)
+    record_batch_metrics(namespace, x.shape[0])
     if plan.depth == 0:
         return ex.run(x)
     times = np.zeros(plan.depth, dtype=np.float64)
     out = ex.run(x, layer_times=times)
-    reg = default_registry()
-    tracer = default_tracer()
-    layer_time = reg.vector(
+    default_registry().vector(
         f"sim.{namespace}.layer_seconds", plan.depth, dtype=np.float64
-    )
-    groups = plan.layer_segment_counts()
-    if event is None:
-        event = f"{namespace}_layer"
-    for d in range(plan.depth):
-        dt = float(times[d])
-        layer_time.inc(d, dt)
-        tracer.record(
-            event,
-            network=net.name,
-            layer=d,
-            groups=int(groups[d]),
-            batch=batch,
-            dur_s=round(dt, 9),
-        )
+    ).add_array(times)
     return out

@@ -122,7 +122,7 @@ class ThreadedCounter:
             t.join()
         if _obs.enabled:
             from ..obs.metrics import default_registry
-            from ..obs.tracer import default_tracer
+            from ..obs.spans import default_span_recorder
 
             reg = default_registry()
             reg.counter("sim.threaded.ops").inc(n_threads * ops_per_thread)
@@ -130,7 +130,7 @@ class ThreadedCounter:
                 reg.vector("sim.threaded.balancer_visits", self.net.size).add_array(
                     self._obs_visits
                 )
-            default_tracer().record(
+            default_span_recorder().event(
                 "threaded_run",
                 network=self.net.name,
                 threads=n_threads,
@@ -319,9 +319,9 @@ class ContentionSimulator:
         lat_list: list[float] | None,
     ) -> None:
         """Publish one run's per-balancer accounting into the default
-        registry/tracer (only reached while :mod:`repro.obs` is enabled)."""
+        registry/recorder (only reached while :mod:`repro.obs` is enabled)."""
         from ..obs.metrics import default_registry
-        from ..obs.tracer import default_tracer
+        from ..obs.spans import default_span_recorder
 
         reg = default_registry()
         reg.counter("sim.contention.runs").inc()
@@ -335,7 +335,7 @@ class ContentionSimulator:
             hist = reg.histogram("sim.contention.latency")
             for v in lat_list:
                 hist.observe(v)
-        default_tracer().record(
+        default_span_recorder().event(
             "contention_run",
             network=self.net.name,
             n_procs=n_procs,

@@ -81,7 +81,7 @@ def propagate_counts(net: Network, x: np.ndarray, workers: int | None = None) ->
             record_batch_metrics("counts", x.shape[0])
         return out[0] if single else out
     if _obs.enabled:
-        out = run_instrumented(net, ex, x, "counts", event="count_layer")
+        out = run_instrumented(ex, x, "counts")
     else:
         out = ex.run(x)
     return out[0] if single else out

@@ -55,7 +55,7 @@ def evaluate_comparators(net: Network, values: np.ndarray) -> np.ndarray:
 
     ex = plan_executor(net, semantics="sort")
     if _obs.enabled:
-        out = run_instrumented(net, ex, values, "sort")
+        out = run_instrumented(ex, values, "sort")
     else:
         out = ex.run(values)
     return out[0] if single else out

@@ -227,13 +227,13 @@ class TokenSimulator:
         reached while :mod:`repro.obs` is enabled; reads state, never
         changes simulation behaviour)."""
         from ..obs.metrics import default_registry
-        from ..obs.tracer import default_tracer
+        from ..obs.spans import default_span_recorder
 
         reg = default_registry()
         reg.counter("sim.token.exits").inc()
         reg.histogram("sim.token.latency_steps").observe(self._steps - tok.entry_step)
         reg.gauge("sim.token.pending").set(len(self._pending))
-        default_tracer().record(
+        default_span_recorder().event(
             "token_exit",
             network=self.net.name,
             token=tok.token_id,
@@ -244,13 +244,13 @@ class TokenSimulator:
     def _obs_record_hop(self, tok: Token, b, port: int) -> None:
         """Observability bookkeeping for one balancer traversal."""
         from ..obs.metrics import default_registry
-        from ..obs.tracer import default_tracer
+        from ..obs.spans import default_span_recorder
 
         reg = default_registry()
         reg.counter("sim.token.hops").inc()
         reg.vector("sim.token.balancer_visits", self.net.size).inc(b.index)
         reg.gauge("sim.token.pending").set(len(self._pending))
-        default_tracer().record(
+        default_span_recorder().event(
             "token_hop",
             network=self.net.name,
             token=tok.token_id,
@@ -273,9 +273,9 @@ class TokenSimulator:
                 raise RuntimeError("simulation exceeded step budget — network not draining?")
         counts = np.array([len(order) for order in self._exit_order], dtype=np.int64)
         if _obs.enabled:
-            from ..obs.tracer import default_tracer
+            from ..obs.spans import default_span_recorder
 
-            default_tracer().record(
+            default_span_recorder().event(
                 "token_run",
                 network=self.net.name,
                 scheduler=sched_name,

@@ -348,7 +348,8 @@ class TestTiling:
         ex.run(x, layer_times=times)
         tiles = -(-x.shape[0] // ex._tile_rows(x.dtype))
         assert tiles == 3
-        assert np.array_equal(times, ex.plan.layer_segment_counts() * float(tiles))
+        segments = np.bincount(ex.plan.seg_layer, minlength=ex.plan.depth)
+        assert np.array_equal(times, segments * float(tiles))
 
     def test_repeated_tiled_calls_allocate_nothing(self):
         net = k_network([2] * 7)

@@ -5,7 +5,7 @@ hot path of :func:`repro.sim.propagate_counts` does **no** extra
 per-balancer Python work: no frames from ``repro/obs`` are entered, and the
 number of Python-level function calls is a fixed structural constant — it
 must not scale with batch size (the vectorized invariant) and must match a
-recorded op-count baseline derived from the compiled layer structure.
+recorded op-count baseline derived from the lowered plan's segments.
 
 Timing assertions are deliberately avoided (noisy under CI); call counting
 via ``sys.setprofile`` is exact and deterministic.
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
-from repro.core.compiled import compile_network
+from repro.core.plan import lower_network
 from repro.networks import k_network
 from repro.sim import propagate_counts
 
@@ -54,7 +54,7 @@ def net():
 class TestDisabledOverhead:
     def test_no_obs_frames_and_batch_independent_call_count(self, net):
         obs.disable()
-        comp = compile_network(net)  # warm the compile cache outside the count
+        plan = lower_network(net)  # warm the plan cache outside the count
         xs = {
             b: np.random.default_rng(0).integers(0, 50, size=(b, net.width))
             for b in (4, 512)
@@ -74,10 +74,10 @@ class TestDisabledOverhead:
         assert calls[4] == calls[512], calls
 
         # Recorded op-count baseline: the sweep's Python-level work is one
-        # bounded set of calls per (layer, width-group) plus fixed entry
-        # overhead.  Groups for K(2,3,5): one width-group per layer.
-        n_groups = sum(len(layer) for layer in comp.layers)
-        assert n_groups == comp.depth == 5
+        # bounded set of calls per plan segment (one per layer and balancer
+        # width) plus fixed entry overhead.  K(2,3,5): one segment per layer.
+        n_groups = plan.num_segments
+        assert n_groups == plan.depth == 5
         # Entry/validation/plan-lookup plus <= a small constant of calls per
         # group (the semantics kernel dispatch and its offset-column lookup
         # are one Python frame each).  The exact figure may drift with numpy

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
+from repro.core.plan import plan_executor
 from repro.networks import k_network
 from repro.sim import ContentionSimulator, ThreadedCounter, propagate_counts, run_tokens
 
@@ -57,9 +58,9 @@ class TestByteIdenticalResults:
 
     def test_nothing_recorded_while_disabled(self, net):
         obs.disable()
-        reg, tr = obs.MetricsRegistry(), obs.Tracer()
+        reg, spans = obs.MetricsRegistry(), obs.SpanRecorder()
         prev_reg = obs.set_default_registry(reg)
-        prev_tr = obs.set_default_tracer(tr)
+        prev_spans = obs.set_default_span_recorder(spans)
         try:
             x = np.random.default_rng(1).integers(0, 9, size=(4, net.width))
             propagate_counts(net, x)
@@ -68,29 +69,30 @@ class TestByteIdenticalResults:
             ThreadedCounter(net).run_threads(2, 10)
         finally:
             obs.set_default_registry(prev_reg)
-            obs.set_default_tracer(prev_tr)
+            obs.set_default_span_recorder(prev_spans)
         assert reg.names() == []
-        assert len(tr) == 0
+        assert len(spans) == 0 and spans.started == 0
 
 
 class TestInstrumentationHooks:
     def test_build_and_compile_events(self):
-        with obs.capture() as (reg, tr):
+        with obs.capture() as (reg, spans):
             net = k_network([2, 3])
             propagate_counts(net, np.zeros(net.width, dtype=np.int64))
-        builds = tr.events("build")
+        builds = spans.completed("build")
         assert builds, "NetworkBuilder.finish should trace builds"
-        assert any(e.fields["network"] == "K(2,3)" for e in builds)
+        k_builds = [s for s in builds if s.fields["network"] == "K(2,3)"]
+        assert k_builds and all(s.status == "ok" and s.dur_s > 0 for s in k_builds)
         assert reg.get("core.builds").value >= 1
-        # compile happened (fresh compile or cache hit from an equal network)
+        # the plan was lowered (fresh lowering or a hit on an equal network)
         assert (
-            reg.get("core.compiles") is not None
-            or reg.get("core.compile_cache_hits") is not None
+            reg.get("core.plan_lowerings") is not None
+            or reg.get("core.plan_cache_hits") is not None
         )
 
     def test_token_visit_counters_match_hops(self, net):
         total = 4 * net.width
-        with obs.capture() as (reg, tr):
+        with obs.capture() as (reg, spans):
             result = run_tokens(net, [4] * net.width, "random", seed=3)
         visits = reg.get("sim.token.balancer_visits").values
         assert visits.shape[0] == net.size
@@ -100,11 +102,12 @@ class TestInstrumentationHooks:
         assert int(visits.sum()) + total == result.steps
         # latency histogram saw one observation per token
         assert reg.get("sim.token.latency_steps").total == total
-        (run_ev,) = tr.events("token_run")
+        (run_ev,) = spans.completed("token_run")
         assert run_ev.fields["tokens"] == total
+        assert len(spans.completed("token_exit")) == total
 
     def test_contention_vectors_and_latency(self, net):
-        with obs.capture() as (reg, tr):
+        with obs.capture() as (reg, spans):
             stats = ContentionSimulator(net).run(8, 3, collect_latencies=True)
         visits = reg.get("sim.contention.balancer_visits").values
         waits = reg.get("sim.contention.balancer_wait").values
@@ -112,7 +115,7 @@ class TestInstrumentationHooks:
         assert stats.ops <= int(visits.sum()) <= stats.ops * net.depth
         assert waits.sum() == pytest.approx(stats.total_wait)
         assert reg.get("sim.contention.latency").total == stats.ops
-        assert len(tr.events("contention_run")) == 1
+        assert len(spans.completed("contention_run")) == 1
 
     def test_threaded_counter_publishes_visits(self, net):
         with obs.capture() as (reg, _):
@@ -125,12 +128,15 @@ class TestInstrumentationHooks:
 
     def test_counts_layer_timing(self, net):
         x = np.random.default_rng(0).integers(0, 99, size=(16, net.width))
-        with obs.capture() as (reg, tr):
+        with obs.capture() as (reg, spans):
             propagate_counts(net, x)
         times = reg.get("sim.counts.layer_seconds").values
         assert times.shape[0] == net.depth
         assert np.all(times >= 0)
-        assert len(tr.events("count_layer")) == net.depth
+        # Per-layer time lives in the vector only: the sweep adds one
+        # executor span to the ring, not one span per layer.
+        assert len(spans.completed("executor")) == 1
+        assert {s.kind for s in spans.completed()} <= {"plan_lower", "executor"}
         assert reg.get("sim.counts.batch_size").total == 1
         assert int(reg.get("sim.counts.vectors").value) == 16
 
@@ -171,9 +177,25 @@ class TestProfiler:
         assert all(row["time_ms"] >= 0 for row in report.layer_rows)
         assert [r["visits"] for r in report.balancer_rows] == [batch] * net.size
 
+    def test_sharded_counts_profile_reports_no_layer_times(self, net):
+        """The sharded sweep does not time layers, so the rows carry no
+        ``time_ms`` rather than a column of zeros."""
+        try:
+            report = obs.profile_network(net, workload="counts", batch=64, workers=2)
+        finally:
+            plan_executor(net).close_pool()
+        assert report.summary["workers"] == 2
+        assert len(report.layer_rows) == net.depth
+        assert not any("time_ms" in row for row in report.layer_rows)
+
     def test_profile_summary_and_payload(self):
         report = obs.profile_network(lambda: k_network([2, 3]), workload="tokens")
-        assert report.summary["build_s"] is not None
+        assert report.summary["build_s"] > 0 and report.summary["lower_s"] > 0
+        assert report.summary["trace_spans"] == len(report.spans)
+        assert report.spans.capacity == 65_536
+        (build,) = report.spans.completed("profile.build")
+        assert build.fields["network"] == "K(2,3)"
+        assert len(report.spans.completed("profile.lower")) == 1
         assert report.summary["steps"] > 0
         payload = report.bench_payload()
         text = json.dumps(payload)  # JSON-serializable

@@ -27,6 +27,7 @@ class TestSpan:
         assert d["plan"] == "K(2,3)"
         assert d["status"] == "ok"
         assert d["dur_s"] >= 0
+        assert d["t0"] == round(child.t0, 9)
 
     def test_finished_property(self):
         rec = SpanRecorder()
@@ -95,7 +96,8 @@ class TestCaptureScoping:
 
     def test_capture_accepts_explicit_recorder(self):
         mine = SpanRecorder(capacity=8)
-        with obs.capture(spans=mine):
+        with obs.capture(spans=mine) as (_, spans):
+            assert spans is mine
             assert obs.default_span_recorder() is mine
 
     def test_current_batch_slot_starts_empty(self):

@@ -1,144 +1,150 @@
-"""Unit tests for the event tracer, ring buffer, and JSONL export."""
+"""Trace records on the span recorder: point and timed events, timed
+blocks, the shared ring, JSON-lines export, and capture() scoping.
+
+Every trace item is a ``Span`` in the one ``SpanRecorder`` ring; an event is
+a span that is finished when it is recorded.
+"""
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import pytest
 
 import repro.obs as obs
-from repro.obs.tracer import Tracer, default_tracer, set_default_tracer, trace_event
+from repro.obs.spans import SpanRecorder
 
 
 class TestTracer:
     def test_record_sequencing(self):
-        tr = Tracer()
-        tr.record("a", x=1)
-        tr.record("b", y="z")
-        evs = tr.events()
-        assert [e.kind for e in evs] == ["a", "b"]
-        assert evs[0].seq == 0 and evs[1].seq == 1
-        assert evs[0].t <= evs[1].t
-        assert evs[1].fields == {"y": "z"}
+        rec = SpanRecorder()
+        rec.event("a", x=1)
+        rec.event("b", y="z")
+        a, b = rec.completed()
+        assert [a.kind, b.kind] == ["a", "b"]
+        assert (a.span_id, b.span_id) == (0, 1)
+        assert a.t0 <= b.t0
+        assert b.fields == {"y": "z"}
+        assert a.dur_s == 0.0 and a.status == "ok"
+
+    def test_timed_event_starts_dur_s_before_now(self):
+        rec = SpanRecorder()
+        before = rec.event("point").t0
+        ev = rec.event("build", 2.5, network="K")
+        assert ev.dur_s == 2.5 and ev.fields == {"network": "K"}
+        assert ev.t0 + 2.5 >= before
+        assert ev.t0 < before
 
     def test_kind_filter(self):
-        tr = Tracer()
-        tr.record("hop")
-        tr.record("exit")
-        tr.record("hop")
-        assert len(tr.events("hop")) == 2
+        rec = SpanRecorder()
+        rec.event("token_hop")
+        rec.event("token_exit")
+        rec.event("token_hop")
+        assert len(rec.completed("token_hop")) == 2
+        assert len(rec.completed("token_exit")) == 1
 
     def test_ring_buffer_evicts_oldest(self):
-        tr = Tracer(capacity=4)
+        rec = SpanRecorder(capacity=4)
         for i in range(10):
-            tr.record("e", i=i)
-        assert len(tr) == 4
-        assert [e.fields["i"] for e in tr.events()] == [6, 7, 8, 9]
-        assert tr.dropped == 6
+            if i % 2:
+                rec.event("e", i=i)
+            else:
+                rec.finish(rec.start("e", i=i))
+        assert len(rec) == 4
+        # Events and finished spans share the ring: only the newest four
+        # survive, oldest first.
+        assert [s.fields["i"] for s in rec.completed()] == [6, 7, 8, 9]
+        assert rec.dropped == 6
 
     def test_clear(self):
-        tr = Tracer(capacity=2)
+        rec = SpanRecorder(capacity=2)
         for _ in range(5):
-            tr.record("e")
-        tr.clear()
-        assert len(tr) == 0 and tr.dropped == 0
+            rec.event("e")
+        rec.clear()
+        assert len(rec) == 0 and rec.dropped == 0
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            Tracer(capacity=0)
+            SpanRecorder(capacity=-1)
+        rec = SpanRecorder(capacity=1)
+        rec.event("old")
+        rec.event("new")
+        assert [s.kind for s in rec.completed()] == ["new"]
 
     def test_span_records_duration_and_extras(self):
-        tr = Tracer()
-        with tr.span("compile", network="K") as extra:
-            extra["layers"] = 5
-        (ev,) = tr.events("compile")
-        assert ev.fields["network"] == "K"
-        assert ev.fields["layers"] == 5
-        assert ev.fields["dur_s"] >= 0
+        rec = SpanRecorder()
+        with rec.span("plan_lower", network="K") as s:
+            s.fields["segments"] = 5
+            assert not s.finished
+        (done,) = rec.completed("plan_lower")
+        assert done is s
+        assert done.fields == {"network": "K", "segments": 5}
+        assert done.status == "ok" and done.dur_s >= 0
 
     def test_span_records_on_exception(self):
-        tr = Tracer()
+        rec = SpanRecorder()
         with pytest.raises(RuntimeError):
-            with tr.span("boom"):
+            with rec.span("boom"):
                 raise RuntimeError("x")
-        assert len(tr.events("boom")) == 1
+        (s,) = rec.completed("boom")
+        assert s.status == "error" and s.finished
+
+    def test_cancellation_leaves_span_out_of_ring(self):
+        rec = SpanRecorder()
+        with pytest.raises(asyncio.CancelledError):
+            with rec.span("request"):
+                raise asyncio.CancelledError
+        assert len(rec) == 0 and rec.started == 1
 
     def test_jsonl_roundtrip(self, tmp_path):
-        tr = Tracer()
-        tr.record("a", n=1)
-        tr.record("b", s="t")
-        path = tr.export_jsonl(tmp_path / "trace.jsonl")
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        objs = [json.loads(line) for line in lines]
-        assert objs[0]["kind"] == "a" and objs[0]["n"] == 1
-        assert {"seq", "t", "kind"} <= set(objs[1])
+        rec = SpanRecorder()
+        rec.event("a", n=1)
+        with rec.span("b", s="t") as s:
+            s.mark("half")
+        path = obs.write_jsonl(tmp_path / "trace.jsonl", rec.to_dicts())
+        objs = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [o["kind"] for o in objs] == ["a", "b"]
+        assert objs[0]["n"] == 1 and objs[1]["s"] == "t"
+        for o in objs:
+            assert {"span_id", "parent_id", "kind", "t0", "status", "dur_s", "marks"} <= set(o)
+        assert set(objs[1]["marks"]) == {"half"}
 
     def test_empty_jsonl(self, tmp_path):
-        path = Tracer().export_jsonl(tmp_path / "empty.jsonl")
+        path = obs.write_jsonl(tmp_path / "empty.jsonl", SpanRecorder().to_dicts())
         assert path.read_text() == ""
-
-
-class TestModuleLevelHelpers:
-    def test_trace_event_noop_when_disabled(self):
-        tr = Tracer()
-        prev = set_default_tracer(tr)
-        try:
-            obs.disable()
-            assert trace_event("nope") is None
-            assert len(tr) == 0
-        finally:
-            set_default_tracer(prev)
-
-    def test_trace_event_records_when_enabled(self):
-        tr = Tracer()
-        prev = set_default_tracer(tr)
-        try:
-            obs.enable()
-            ev = trace_event("yes", k=1)
-            assert ev is not None and len(tr) == 1
-        finally:
-            obs.disable()
-            set_default_tracer(prev)
-
-    def test_module_span_noop_when_disabled(self):
-        tr = Tracer()
-        prev = set_default_tracer(tr)
-        try:
-            obs.disable()
-            with obs.span("quiet"):
-                pass
-            assert len(tr) == 0
-        finally:
-            set_default_tracer(prev)
 
 
 class TestCapture:
     def test_capture_swaps_and_restores(self):
-        before_tr = default_tracer()
+        before_reg, before = obs.default_registry(), obs.default_span_recorder()
         assert not obs.enabled()
-        with obs.capture() as (reg, tr):
+        with obs.capture() as (reg, spans):
             assert obs.enabled()
-            assert default_tracer() is tr
-            trace_event("inside")
+            assert obs.default_registry() is reg
+            assert obs.default_span_recorder() is spans
+            obs.default_span_recorder().event("inside")
             reg.counter("c").inc()
         assert not obs.enabled()
-        assert default_tracer() is before_tr
-        assert len(tr.events("inside")) == 1
+        assert obs.default_registry() is before_reg
+        assert obs.default_span_recorder() is before
+        assert len(spans.completed("inside")) == 1
 
     def test_capture_restores_on_exception(self):
-        before = default_tracer()
+        before_reg, before = obs.default_registry(), obs.default_span_recorder()
         with pytest.raises(RuntimeError):
             with obs.capture():
                 raise RuntimeError("x")
-        assert default_tracer() is before
+        assert obs.default_registry() is before_reg
+        assert obs.default_span_recorder() is before
         assert not obs.enabled()
 
     def test_nested_capture(self):
-        with obs.capture() as (_, outer_tr):
-            trace_event("outer")
-            with obs.capture() as (_, inner_tr):
-                trace_event("inner")
-            trace_event("outer")
-        assert len(outer_tr) == 2
-        assert [e.kind for e in inner_tr.events()] == ["inner"]
+        with obs.capture() as (_, outer):
+            obs.default_span_recorder().event("outer")
+            with obs.capture() as (_, inner):
+                obs.default_span_recorder().event("inner")
+            obs.default_span_recorder().event("outer")
+            assert obs.enabled()
+        assert [s.kind for s in outer.completed()] == ["outer", "outer"]
+        assert [s.kind for s in inner.completed()] == ["inner"]

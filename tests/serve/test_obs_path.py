@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import sys
+from collections import Counter
 
 import repro.obs as obs
 from repro.networks import k_network
@@ -109,6 +110,31 @@ class TestSpanChain:
                 assert "executed" in b.marks and "verified" in b.marks
                 e = executors[b.fields["executor_run"]]
                 assert e.parent_id == b.span_id
+
+    def test_each_inc_adds_one_request_batch_and_executor_span(self):
+        """After a warm-up INC, every further INC adds exactly one span of
+        each kind to the one ring, and span ids stay unique across the
+        zero-duration events and the timed spans."""
+        with obs.capture() as (_, spans):
+            async def main():
+                async with make_server() as server:
+                    client = await TCPCounterClient.connect(*server.address)
+                    try:
+                        await client.inc(2)  # warm-up
+                        deltas = []
+                        for _ in range(5):
+                            before = Counter(s.kind for s in spans.completed())
+                            await client.inc(2)
+                            deltas.append(Counter(s.kind for s in spans.completed()) - before)
+                        return deltas
+                    finally:
+                        await client.close()
+
+            deltas = run(main())
+        assert deltas == [Counter(request=1, batch=1, executor=1)] * 5
+        ids = [s.span_id for s in spans.completed()]
+        assert len(ids) == len(set(ids))
+        assert spans.completed("build"), "construction events share the ring"
 
     def test_service_origin_spans_without_server(self):
         """In-process callers get a full chain too (what chaos runs need)."""
