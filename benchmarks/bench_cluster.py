@@ -18,12 +18,9 @@ The measured rows are merged into ``BENCH_serve_scale.json`` as
 from __future__ import annotations
 
 import asyncio
-import json
-import pathlib
 import tempfile
 
 from repro.cluster import Cluster, ClusterConfig
-from repro.obs import write_bench_json
 from repro.serve import run_multiprocess_tcp
 
 CLIENTS_PER_PROC = 8
@@ -78,29 +75,14 @@ def _cluster_point(shards: int) -> dict:
     return asyncio.run(main())
 
 
-def _existing_rows() -> list[dict]:
-    """Preserve the single-process sweep already stamped by bench_serve."""
-    path = pathlib.Path(__file__).resolve().parent.parent / "BENCH_serve_scale.json"
-    if not path.exists():
-        return []
-    try:
-        return json.loads(path.read_text()).get("rows", [])
-    except (ValueError, OSError):
-        return []
-
-
-def test_cluster_weak_scaling(save_table):
+def test_cluster_weak_scaling(save_table, update_serve_scale):
     cluster_rows = [_cluster_point(shards) for shards in (1, 2, 4)]
     base = cluster_rows[0]["throughput"]
     for row in cluster_rows:
         row["speedup_vs_1shard"] = round(row["throughput"] / base, 2)
 
     save_table("E22_cluster_scaling", cluster_rows)
-    write_bench_json(
-        "serve_scale",
-        {"rows": _existing_rows(), "cluster_rows": cluster_rows},
-        family="K",
-    )
+    update_serve_scale(cluster_rows=cluster_rows)
 
     # Exactly-once across every point: values distinct, residue classes
     # gap-free (nothing was killed, so the gap budget is zero).

@@ -14,7 +14,6 @@ from __future__ import annotations
 import asyncio
 
 from repro.networks import k_network
-from repro.obs import write_bench_json
 from repro.serve import CountingService, LoadGenerator
 
 
@@ -37,10 +36,10 @@ def _run_point(clients: int, ops: int) -> dict:
     return asyncio.run(main())
 
 
-def test_serve_closed_loop_scaling(save_table):
+def test_serve_closed_loop_scaling(save_table, update_serve_scale):
     rows = [_run_point(clients, ops) for clients, ops in ((1, 40), (4, 30), (16, 20), (64, 10))]
     save_table("E21_serve_closed_loop", rows)
-    write_bench_json("serve_scale", {"rows": rows}, family="K")
+    update_serve_scale(rows=rows)
 
     # Exactly-once at every concurrency level.
     assert all(r["exactly_once"] for r in rows)

@@ -9,6 +9,7 @@ pytest-benchmark, each module *prints and saves* the reproduced table under
 
 from __future__ import annotations
 
+import json
 import pathlib
 
 import pytest
@@ -36,3 +37,22 @@ def save_table(results_dir):
         return text
 
     return _save
+
+
+@pytest.fixture(scope="session")
+def update_serve_scale():
+    """Rewrite ``BENCH_serve_scale.json`` with new values for some keys,
+    keeping the others: bench_serve owns ``rows`` and bench_cluster
+    ``cluster_rows`` (which ``check_budgets.py`` gates), and either may run
+    first.  ``update_serve_scale(rows=...)``."""
+    from repro.obs import repo_root, write_bench_json
+
+    def _update(**rows: list[dict]) -> None:
+        try:
+            old = json.loads((repo_root() / "BENCH_serve_scale.json").read_text())
+        except (ValueError, OSError):
+            old = {}
+        kept = {k: old[k] for k in ("rows", "cluster_rows") if k in old}
+        write_bench_json("serve_scale", {**kept, **rows}, family="K")
+
+    return _update

@@ -1,10 +1,12 @@
 """Persistent on-disk cache for constructed networks and execution plans.
 
-Building ``K(2^11)`` takes hundreds of milliseconds of pure Python; the
-result is fully determined by ``(family, factors, variant)`` and the code
-that builds it.  This module caches both the constructed
-:class:`~repro.core.network.Network` (as flat arrays) and its lowered
-:class:`~repro.core.plan.ExecutionPlan` under ``.repro_cache/``:
+Building and lowering ``K(2^11)`` takes ~0.2 s; the result is fully
+determined by ``(family, factors, variant)`` and the code that builds it.
+This module caches both the constructed
+:class:`~repro.core.network.Network` (its wire arrays, loaded back through
+:meth:`~repro.core.network.Network.from_wire_arrays` and its validator)
+and its lowered :class:`~repro.core.plan.ExecutionPlan` under
+``.repro_cache/``:
 
 * every entry is one ``.npz`` file written with :func:`np.savez` (flat
   int64 arrays — no pickling), listed in a single ``manifest.json``;
@@ -36,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..obs import runtime as _obs
-from .network import Balancer, Network
+from .network import Network
 from .plan import ExecutionPlan, lower_network
 
 __all__ = [
@@ -106,44 +108,31 @@ def _obs_trace(event: str, **fields) -> None:
 
 
 def _network_arrays(net: Network) -> dict[str, np.ndarray]:
-    """Flatten a network to np.savez-able arrays (vectorized, no pickling)."""
-    widths = np.array([b.width for b in net.balancers], dtype=np.int64)
-    in_concat = np.array(
-        [w for b in net.balancers for w in b.inputs], dtype=np.int64
-    )
-    out_concat = np.array(
-        [w for b in net.balancers for w in b.outputs], dtype=np.int64
-    )
+    """A network's wire arrays as np.savez-able arrays (no pickling)."""
+    widths, in_concat, out_concat, _ = net.wire_arrays()
+    net_inputs, net_outputs = net.io_arrays()
     return {
         "widths": widths,
         "in_concat": in_concat,
         "out_concat": out_concat,
-        "net_inputs": np.array(net.inputs, dtype=np.int64),
-        "net_outputs": np.array(net.outputs, dtype=np.int64),
+        "net_inputs": net_inputs,
+        "net_outputs": net_outputs,
         "net_scalars": np.array([net.num_wires], dtype=np.int64),
     }
 
 
 def _network_from_arrays(arrays, name: str) -> Network:
-    widths = np.asarray(arrays["widths"], dtype=np.int64)
-    in_concat = [int(w) for w in np.asarray(arrays["in_concat"])]
-    out_concat = [int(w) for w in np.asarray(arrays["out_concat"])]
-    bounds = np.concatenate(([0], np.cumsum(widths)))
-    if bounds[-1] != len(in_concat) or bounds[-1] != len(out_concat):
-        raise ValueError("balancer wire arrays do not match widths")
-    balancers = [
-        Balancer(
-            i,
-            tuple(in_concat[bounds[i] : bounds[i + 1]]),
-            tuple(out_concat[bounds[i] : bounds[i + 1]]),
-        )
-        for i in range(len(widths))
-    ]
-    return Network(
-        inputs=[int(w) for w in np.asarray(arrays["net_inputs"])],
-        outputs=[int(w) for w in np.asarray(arrays["net_outputs"])],
-        balancers=balancers,
-        num_wires=int(np.asarray(arrays["net_scalars"])[0]),
+    """Load through the array constructor and its vectorized validator."""
+    scalars = np.asarray(arrays["net_scalars"])
+    if scalars.shape != (1,):
+        raise ValueError(f"bad network scalars shape {scalars.shape}")
+    return Network.from_wire_arrays(
+        inputs=arrays["net_inputs"],
+        outputs=arrays["net_outputs"],
+        widths=arrays["widths"],
+        in_concat=arrays["in_concat"],
+        out_concat=arrays["out_concat"],
+        num_wires=int(scalars[0]),
         name=name,
     )
 

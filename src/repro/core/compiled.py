@@ -73,30 +73,38 @@ _cache: "weakref.WeakKeyDictionary[Network, CompiledNetwork]" = weakref.WeakKeyD
 
 
 def compile_network(net: Network) -> CompiledNetwork:
-    """Compile (and memoize) ``net`` into a :class:`CompiledNetwork`."""
+    """Compile (and memoize) ``net`` into a :class:`CompiledNetwork`.
+
+    One lexsort of the balancers by ``(layer, width)`` over the network's
+    wire arrays (:meth:`~repro.core.network.Network.balancer_layers`)
+    forms the groups: widths ascending within a layer, balancer index
+    order within a group.
+    """
     cached = _cache.get(net)
     if cached is not None:
         return cached
 
-    layers: list[tuple[WidthGroup, ...]] = []
-    for layer in net.layers():
-        by_width: dict[int, list] = {}
-        for b in layer:
-            by_width.setdefault(b.width, []).append(b)
-        groups = []
-        for width in sorted(by_width):
-            bs = by_width[width]
-            in_idx = np.array([b.inputs for b in bs], dtype=np.int64)
-            out_idx = np.array([b.outputs for b in bs], dtype=np.int64)
-            offsets = np.arange(width, dtype=np.int64)[None, :, None]
-            groups.append(WidthGroup(width, in_idx, out_idx, offsets))
-        layers.append(tuple(groups))
+    widths, in_concat, out_concat, bounds = net.wire_arrays()
+    layer = net.balancer_layers()
+    order = np.lexsort((widths, layer))  # stable: index order within a group
+    lay, wid = layer[order], widths[order]
+    cuts = (np.flatnonzero((lay[1:] != lay[:-1]) | (wid[1:] != wid[:-1])) + 1).tolist()
+    layers: list[list[WidthGroup]] = [[] for _ in range(net.depth)]
+    for lo, hi in zip([0] + cuts, cuts + [order.size]):
+        if lo == hi:
+            break  # no balancers at all
+        p = int(wid[lo])
+        slots = bounds[order[lo:hi], None] + np.arange(p, dtype=np.int64)
+        offsets = np.arange(p, dtype=np.int64)[None, :, None]
+        layers[int(lay[lo])].append(
+            WidthGroup(p, in_concat[slots], out_concat[slots], offsets)
+        )
 
     compiled = CompiledNetwork(
         num_wires=net.num_wires,
         input_idx=np.array(net.inputs, dtype=np.int64),
         output_idx=np.array(net.outputs, dtype=np.int64),
-        layers=tuple(layers),
+        layers=tuple(tuple(groups) for groups in layers),
     )
     _cache[net] = compiled
     return compiled

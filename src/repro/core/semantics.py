@@ -8,7 +8,7 @@ sweep is parameterized by a small kernel object:
 ``CountSemantics``
     The quiescent-count transfer ``out[j] = ceil((T - j) / p)``: the
     branchless width-2 shift kernel plus the general in-place kernel
-    ``(T + p - 1 - j) // p``.
+    ``(T + p - 1 - j) // p`` (a right shift for ``p`` a power of two).
 ``SortSemantics``
     Descending compare-exchange: width-2 balancers become a branchless
     ``np.maximum`` / ``np.minimum`` pair, general ``p``-comparators an
@@ -114,9 +114,14 @@ class CountSemantics(Semantics):
         vals.sum(axis=0, out=tot)
         out = state[ob : ob + size].reshape(p, k, -1)
         # out[j] = (tot + (p - 1 - j)) // p: one add of the cached bias
-        # column, then one division, without temporaries.
+        # column, then one division, without temporaries.  For p a power of
+        # two the division is an arithmetic right shift, which floors every
+        # int64, negative ones included.
         np.add(tot[None, :, :], self._bias_col(p), out=out)
-        np.floor_divide(out, p, out=out)
+        if p & (p - 1):
+            np.floor_divide(out, p, out=out)
+        else:
+            np.right_shift(out, p.bit_length() - 1, out=out)
 
     def apply_overridden(self, net, x: np.ndarray, overrides: dict) -> np.ndarray:
         """Per-balancer batched count sweep honoring semantic overrides."""

@@ -58,6 +58,24 @@ class TestRoundTrip:
             propagate_counts_reference(original, x),
         )
 
+    @pytest.mark.parametrize("factors", [[2, 3], [2, 2, 2, 3], [2] * 8])
+    def test_cached_network_hit_equals_fresh_build(self, tmp_path, factors):
+        from repro.core.plan import lower_plan
+
+        cache = PlanCache(tmp_path)
+        cached_network("K", factors, lambda: k_network(factors), cache=cache)
+        hit = cached_network(
+            "K", factors, lambda: pytest.fail("builder must not run"), cache=cache
+        )
+        fresh = k_network(factors)
+        assert hit == fresh and hit.name == fresh.name
+        assert hit.num_wires == fresh.num_wires and hit.depth == fresh.depth
+        for got, want in zip(hit.wire_arrays(), fresh.wire_arrays()):
+            assert got.tobytes() == want.tobytes()
+        got, want = lower_plan(hit).to_arrays(), lower_plan(fresh).to_arrays()
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+        assert hit.balancers == fresh.balancers
+
     def test_hit_does_not_materialize_network(self, tmp_path):
         cache = PlanCache(tmp_path)
         cached_plan("K", FACTORS, _build, cache=cache)
@@ -126,6 +144,35 @@ class TestCorruptionRecovery:
         plan = cached_plan("K", FACTORS, _build, cache=fresh)
         assert plan.width == 6
         assert fresh.stats()["corrupt"] >= 1
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            # b0 reads a wire b1 also reads: "consumed twice".
+            lambda a: a["in_concat"].__setitem__(-1, a["in_concat"][0]),
+            # Fan-in no longer matches the widths.
+            lambda a: a.__setitem__("out_concat", a["out_concat"][:-1]),
+            lambda a: a.__setitem__("net_scalars", np.zeros(0, dtype=np.int64)),
+            # Well-shaped but wrong: must not size any array by it.
+            lambda a: a.__setitem__("net_scalars", np.array([1 << 40], dtype=np.int64)),
+            lambda a: a.__setitem__("widths", a["widths"].reshape(1, -1)),
+            lambda a: a.pop("in_concat"),
+        ],
+        ids=["consumed-twice", "fan-in", "scalars", "huge-num-wires", "2d-widths", "missing-key"],
+    )
+    def test_corrupt_network_arrays_counted_corrupt(self, tmp_path, corrupt):
+        cache = PlanCache(tmp_path)
+        factors = [2, 2, 2]
+        cached_network("K", factors, lambda: k_network(factors), cache=cache)
+        key = PlanCache.entry_key("net", "K", factors)
+        with np.load(tmp_path / f"{key}.npz") as npz:
+            arrays = {k: npz[k].copy() for k in npz.files}
+        corrupt(arrays)
+        np.savez(tmp_path / f"{key}.npz", **arrays)
+        assert cache.get_network("K", factors) is None
+        assert cache.stats()["corrupt"] == 1
+        rebuilt = cached_network("K", factors, lambda: k_network(factors), cache=cache)
+        assert rebuilt == k_network(factors)
 
     def test_wrong_shape_arrays_treated_as_miss(self, tmp_path):
         cache = PlanCache(tmp_path)

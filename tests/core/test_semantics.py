@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Network, NetworkBuilder
+from repro.core import Network, NetworkBuilder, single_balancer_network
 from repro.core.compiled import compile_network
 from repro.core.plan import ExecutionPlan, PlanExecutor, lower_plan, plan_executor
 from repro.core.semantics import _MAX_CE_WIDTH, _ce_pairs, get_semantics
@@ -159,14 +159,31 @@ class TestCEKernel:
 
 
 class TestCountKernel:
-    @pytest.mark.parametrize("p", range(2, 10))
+    @pytest.mark.parametrize("p", range(2, 17))
     def test_count_kernel_every_width(self, p):
-        """The width-p count kernel (a shift for p = 4, 8) against the
-        divmod walker, on large totals."""
+        """The width-p count kernel (a shift for p = 2, 4, 8, 16) against
+        the divmod walker, on large totals."""
         b = NetworkBuilder(p)
         net = b.finish(list(b.balancer(list(b.inputs))), name=f"b{p}")
         x = np.random.default_rng(p).integers(0, 1 << 40, size=(64, p))
         assert propagate_counts(net, x).tobytes() == legacy_count_walker(net, x).tobytes()
+
+    @pytest.mark.parametrize(
+        "build",
+        [*(lambda p=p: single_balancer_network(p) for p in (2, 3, 4, 5, 8, 16)),
+         lambda: k_network([4, 4]), lambda: k_network([2, 4, 2])],
+        ids=["b2", "b3", "b4", "b5", "b8", "b16", "K(4,4)", "K(2,4,2)"],
+    )
+    def test_negative_totals_floor_like_the_walker(self, build):
+        """``PlanExecutor.run`` takes any int64 (only ``propagate_counts``
+        rejects negative counts): the shift kernels must floor negative
+        totals exactly as floor division does."""
+        net = build()
+        x = np.random.default_rng(net.width).integers(-(1 << 40), 1 << 40, size=(64, net.width))
+        x[0] = -1
+        x[1] = -np.arange(net.width)
+        out = PlanExecutor(lower_plan(net)).run(x)
+        assert out.tobytes() == legacy_count_walker(net, x).tobytes()
 
 
 # ---------------------------------------------------------------------------
