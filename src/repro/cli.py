@@ -329,8 +329,9 @@ def _add_service_args(p: argparse.ArgumentParser) -> None:
     _add_variant_arg(p)
     p.add_argument("--max-batch", type=int, default=64, help="requests per vectorized batch")
     p.add_argument(
-        "--max-delay", type=float, default=0.001,
-        help="seconds to linger for batch company after the first request",
+        "--max-delay", type=float, default=0.0,
+        help="seconds to linger for batch company after the first request "
+        "(default 0: yield one event-loop turn, no timer)",
     )
     p.add_argument(
         "--queue-limit", type=int, default=1024,
@@ -1070,7 +1071,10 @@ def main(argv: list[str] | None = None) -> int:
         help="router forwarding: line parses/aggregates, splice shovels bytes",
     )
     cls_.add_argument("--max-batch", type=int, default=64)
-    cls_.add_argument("--max-delay", type=float, default=0.001)
+    cls_.add_argument(
+        "--max-delay", type=float, default=0.0,
+        help="seconds a shard lingers for batch company (default 0: one event-loop turn)",
+    )
     cls_.add_argument("--queue-limit", type=int, default=1024)
     cls_.add_argument(
         "--no-fsync", action="store_true",

@@ -42,7 +42,7 @@ class ClusterConfig:
     router_port: int = 0
     mode: str = "line"
     max_batch: int = 64
-    max_delay: float = 0.001
+    max_delay: float = 0.0
     queue_limit: int = 1024
     fsync: bool = True
     adaptive: bool = False

@@ -49,7 +49,7 @@ class ShardSpec:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral on first start; pinned after
     max_batch: int = 64
-    max_delay: float = 0.001
+    max_delay: float = 0.0
     queue_limit: int = 1024
     fsync: bool = True
     adaptive: bool = False

@@ -13,8 +13,8 @@ interval and applies the recommendation.
 Policy (AIMD-shaped, clamped to ``[floor, cap]``):
 
 * **queue pressure** (depth above half the limit) — double ``max_batch``
-  and halve ``max_delay``: drain fast, stop lingering for company that is
-  already queued;
+  and halve a nonzero ``max_delay``: drain fast, stop lingering for company
+  that is already queued;
 * **batch saturation** (mean batch size near ``max_batch``) — double
   ``max_batch``: the coalescing window is clipping;
 * **underload** (small batches, near-empty queue) — decay both knobs
@@ -75,7 +75,8 @@ def recommend(sample: TunerSample, config: TunerConfig) -> tuple[int, float]:
     batch, delay = sample.max_batch, sample.max_delay
     if sample.pressure > 0.5:
         batch = min(batch * 2, config.max_batch_cap)
-        delay = max(delay / 2, config.min_delay)
+        if delay > 0:  # a batcher without a linger is never given one
+            delay = max(delay / 2, config.min_delay)
     elif sample.batches and sample.mean_batch >= 0.9 * batch:
         batch = min(batch * 2, config.max_batch_cap)
     elif sample.batches and sample.mean_batch <= 0.25 * batch and sample.pressure < 0.05:

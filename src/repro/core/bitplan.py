@@ -218,14 +218,16 @@ def evaluate_zero_one_packed(net: "Network", packed: np.ndarray) -> np.ndarray:
 
         return plan_executor(net, backend="bitsliced").run_packed(packed)
     nwords = packed.shape[1]
+    in_idx, out_idx = net.io_arrays()
+    _, in_concat, out_concat, bounds = net.wire_arrays()
+    blist = bounds.tolist()
     state = np.zeros((net.num_wires, nwords), dtype=np.uint64)
-    state[list(net.inputs)] = packed
+    state[in_idx] = packed
     tmp = np.empty((1, nwords), dtype=np.uint64)
-    for b in net.balancers:
-        vals = state[list(b.inputs)]
-        if b.index in overrides:
-            state[list(b.outputs)] = vals  # broken comparator: no exchange
-        else:
+    for index in range(net.size):
+        lo, hi = blist[index], blist[index + 1]
+        vals = state[in_concat[lo:hi]]
+        if index not in overrides:
             _transpose_sort(vals[:, None, :], tmp)  # mutates vals in place
-            state[list(b.outputs)] = vals
-    return state[list(net.outputs)]
+        state[out_concat[lo:hi]] = vals  # an overridden comparator does not exchange
+    return state[out_idx]

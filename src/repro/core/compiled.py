@@ -30,15 +30,12 @@ class WidthGroup:
 
     ``in_idx`` and ``out_idx`` have shape ``(k, p)``: row ``r`` lists the
     SSA wire ids feeding / leaving balancer ``r`` of this group, with column
-    0 the top position.  ``offsets`` is the precomputed ``(1, p, 1)``
-    position vector used by the counting kernel (hoisted here so the
-    per-layer loop allocates nothing but the gather/scatter temporaries).
+    0 the top position.
     """
 
     width: int
     in_idx: np.ndarray
     out_idx: np.ndarray
-    offsets: np.ndarray
 
     @property
     def count(self) -> int:
@@ -95,10 +92,7 @@ def compile_network(net: Network) -> CompiledNetwork:
             break  # no balancers at all
         p = int(wid[lo])
         slots = bounds[order[lo:hi], None] + np.arange(p, dtype=np.int64)
-        offsets = np.arange(p, dtype=np.int64)[None, :, None]
-        layers[int(lay[lo])].append(
-            WidthGroup(p, in_concat[slots], out_concat[slots], offsets)
-        )
+        layers[int(lay[lo])].append(WidthGroup(p, in_concat[slots], out_concat[slots]))
 
     compiled = CompiledNetwork(
         num_wires=net.num_wires,

@@ -483,7 +483,12 @@ class Network:
 
     def renamed(self, name: str) -> "Network":
         """A copy of this network carrying a different label."""
-        net = Network._from_wiring(self.inputs, self.outputs, self._wiring, self.num_wires, name)
+        return self._shared_as(Network, name)
+
+    def _shared_as(self, cls: type, name: str) -> "Network":
+        """A ``cls`` instance over this network's wire arrays and cached
+        layering: no copy, no re-validation, no :class:`Balancer` built."""
+        net = cls._from_wiring(self.inputs, self.outputs, self._wiring, self.num_wires, name)
         net._balancers = self._balancers
         net._layer = self._layer
         net._wire_depth = self._wire_depth

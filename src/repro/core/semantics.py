@@ -131,15 +131,16 @@ class CountSemantics(Semantics):
         blist = bounds.tolist()
         state = np.zeros((net.num_wires, batch), dtype=np.int64)
         state[in_idx] = x.T
-        for b in net.balancers:
-            lo, hi = blist[b.index], blist[b.index + 1]
+        for index in range(net.size):
+            lo, hi = blist[index], blist[index + 1]
+            p = hi - lo
             totals = state[in_concat[lo:hi]].sum(axis=0)
-            ov = overrides.get(b.index)
+            ov = overrides.get(index)
             if ov is not None:
-                state[out_concat[lo:hi]] = ov.apply_counts(totals, b.width)
+                state[out_concat[lo:hi]] = ov.apply_counts(totals, p)
             else:
-                j = np.arange(b.width, dtype=np.int64)[:, None]
-                state[out_concat[lo:hi]] = (totals[None, :] - j + b.width - 1) // b.width
+                j = np.arange(p, dtype=np.int64)[:, None]
+                state[out_concat[lo:hi]] = (totals[None, :] - j + p - 1) // p
         return state[out_idx].T
 
 
@@ -231,15 +232,19 @@ class SortSemantics(Semantics):
         bit — token-level stuckness has no conservation-respecting
         analogue over distinct values).
         """
+        in_idx, out_idx = net.io_arrays()
+        _, in_concat, out_concat, bounds = net.wire_arrays()
+        blist = bounds.tolist()
         state = np.zeros((net.num_wires, values.shape[0]), dtype=values.dtype)
-        state[list(net.inputs)] = values.T
-        for b in net.balancers:
-            vals = state[list(b.inputs)]  # (p, B)
-            if b.index in overrides:
-                state[list(b.outputs)] = vals  # broken comparator: no exchange
+        state[in_idx] = values.T
+        for index in range(net.size):
+            lo, hi = blist[index], blist[index + 1]
+            vals = state[in_concat[lo:hi]]  # (p, B)
+            if index in overrides:
+                state[out_concat[lo:hi]] = vals  # broken comparator: no exchange
             else:
-                state[list(b.outputs)] = np.sort(vals, axis=0)[::-1]
-        return state[list(net.outputs)].T
+                state[out_concat[lo:hi]] = np.sort(vals, axis=0)[::-1]
+        return state[out_idx].T
 
 
 _COUNT = CountSemantics()

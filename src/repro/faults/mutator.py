@@ -176,22 +176,18 @@ def toggle_balancer(net: Network, index: int, offset: int = 1) -> Network:
 def stuck_balancer(net: Network, index: int, port: int = 0) -> FaultyNetwork:
     """Mutant: balancer ``index`` routes *every* token to output ``port``.
 
-    Returns a :class:`FaultyNetwork`; the structure is unchanged, the
+    Returns a :class:`FaultyNetwork`; the structure is unchanged, so the
+    mutant shares ``net``'s wire arrays and cached layering, and the
     simulators honor the override.
     """
     if not 0 <= index < net.size:
         raise ValueError(f"balancer index {index} out of range")
-    width = net.balancers[index].width
+    width = int(net.wire_arrays()[0][index])
     if not 0 <= port < width:
         raise ValueError(f"stuck port {port} out of range for width {width}")
-    return FaultyNetwork(
-        net.inputs,
-        net.outputs,
-        net.balancers,
-        net.num_wires,
-        f"{net.name}-stuck{index}.{port}",
-        fault_overrides={index: StuckOverride(port)},
-    )
+    mutant = net._shared_as(FaultyNetwork, f"{net.name}-stuck{index}.{port}")
+    mutant.fault_overrides = {index: StuckOverride(port)}
+    return mutant
 
 
 def _toposort(balancers: Sequence[Balancer], inputs: Sequence[int]) -> list[Balancer]:

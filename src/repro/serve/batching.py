@@ -5,9 +5,16 @@ The serving layer's throughput story rests on *coalescing*: many concurrent
 compiled network (one ``propagate_counts`` call per batch instead of one
 lock-protected traversal per token).  :class:`Batcher` is the generic
 engine: callers :meth:`~Batcher.submit` requests, a single worker task
-drains the queue into batches of at most ``max_batch`` items, waiting at
-most ``max_delay`` seconds after the first item of a batch for company, and
-applies the caller's ``apply_batch`` function to each batch.
+drains the queue into batches of at most ``max_batch`` items and applies
+the caller's ``apply_batch`` function to each batch.
+
+A batch that is not yet full waits for company in one of two ways.  By
+default (``max_delay=0``) the worker yields one event-loop turn and drains
+again, with no timer: requests that queued while the previous batch was
+being applied (swept, fsynced, answered) are already there, and the one
+turn lets the callers that batch just resolved submit again.  An explicit
+``max_delay > 0`` instead lingers up to that many seconds after the first
+item of a batch.
 
 Backpressure is load-shedding, not blocking: the queue holds at most
 ``queue_limit`` pending requests and :meth:`~Batcher.submit` raises
@@ -80,7 +87,7 @@ class Batcher:
         apply_batch: Callable[[list[Any]], Sequence[Any]],
         *,
         max_batch: int = 64,
-        max_delay: float = 0.001,
+        max_delay: float = 0.0,
         queue_limit: int = 1024,
     ) -> None:
         if max_batch < 1:
@@ -182,11 +189,16 @@ class Batcher:
             if first is _STOP:
                 return
             batch = [first]
-            # Drain whatever is already queued, then (if still under
-            # max_batch and a delay budget exists) linger for stragglers.
+            # Drain whatever is already queued.  A short batch then lingers
+            # (max_delay > 0) or yields one loop turn, so callers the previous
+            # batch just resolved can submit again, and drains once more.
             stop = self._drain_available(batch)
-            if not stop and len(batch) < self.max_batch and self.max_delay > 0:
-                stop = await self._linger(batch, loop)
+            if not stop and len(batch) < self.max_batch:
+                if self.max_delay > 0:
+                    stop = await self._linger(batch, loop)
+                else:
+                    await asyncio.sleep(0)
+                    stop = self._drain_available(batch)
             self._dispatch(batch)
             if stop:
                 return

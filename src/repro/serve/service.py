@@ -59,10 +59,11 @@ class CountingService:
     max_batch / max_delay / queue_limit:
         Batching and backpressure knobs, passed to
         :class:`~repro.serve.batching.Batcher`: at most ``max_batch``
-        requests per vectorized pass, at most ``max_delay`` seconds of
-        lingering after the first request of a batch, at most
-        ``queue_limit`` requests pending before submissions are rejected
-        with :class:`~repro.serve.batching.OverloadedError`.
+        requests per vectorized pass; ``max_delay`` seconds of lingering
+        after the first request of a batch (the default ``0`` yields one
+        event-loop turn instead, with no timer); at most ``queue_limit``
+        requests pending before submissions are rejected with
+        :class:`~repro.serve.batching.OverloadedError`.
     validate:
         Re-check per batch that dispensed values form the contiguous range
         ``[issued, issued + n)``.  Costs one O(n) comparison per batch.
@@ -96,7 +97,7 @@ class CountingService:
         net: Network,
         *,
         max_batch: int = 64,
-        max_delay: float = 0.001,
+        max_delay: float = 0.0,
         queue_limit: int = 1024,
         validate: bool = True,
         flight_dir=None,

@@ -33,6 +33,14 @@ class TestRecommend:
         assert batch == 4096
         assert delay == 0.0001
 
+    def test_pressure_never_adds_a_linger(self):
+        # The default batcher yields one loop turn instead of lingering;
+        # pressure must not turn a timer on.
+        s = make_sample(queue_depth=600, max_delay=0.0)
+        batch, delay = recommend(s, TunerConfig(base_delay=0.0))
+        assert batch == 128
+        assert delay == 0.0
+
     def test_batch_saturation_doubles_batch_only(self):
         s = make_sample(batches=10, requests=10 * 60)  # mean 60 >= 0.9*64
         batch, delay = recommend(s, CFG)

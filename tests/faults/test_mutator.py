@@ -10,6 +10,7 @@ import pytest
 from repro.faults.mutator import (
     FAULT_CLASSES,
     FaultyNetwork,
+    StuckOverride,
     drop_balancer,
     duplicate_layer,
     enumerate_sites,
@@ -22,6 +23,7 @@ from repro.faults.mutator import (
     toggle_balancer,
 )
 from repro.networks import k_network, l_network
+from repro.networks.counting import clear_construction_cache
 from repro.sim.count_sim import propagate_counts, propagate_counts_reference
 from repro.sim.sort_sim import evaluate_comparators
 from repro.sim.token_sim import run_tokens
@@ -148,6 +150,31 @@ class TestStuckOverride:
     def test_bad_port_rejected(self, net):
         with pytest.raises(ValueError, match="out of range"):
             stuck_balancer(net, 0, net.balancers[0].width)
+
+    def test_mutant_shares_the_pristine_wiring(self, balancers_created):
+        clear_construction_cache()
+        wide = k_network([2] * 6)
+        depth = wide.depth
+        mutants = [stuck_balancer(wide, i, i % 2) for i in (0, 37, wide.size - 1)]
+        assert balancers_created == []
+        for m in mutants:
+            assert all(a is b for a, b in zip(m.wire_arrays(), wide.wire_arrays()))
+            assert m.depth == depth and m.num_wires == wide.num_wires
+            assert m.inputs == wide.inputs and m.outputs == wide.outputs
+        assert balancers_created == []
+
+    def test_counts_match_the_balancer_list_construction(self, net):
+        x = structured_counts(net.width)
+        for index in range(net.size):
+            for port in range(net.balancers[index].width):
+                legacy = FaultyNetwork(
+                    net.inputs, net.outputs, net.balancers, net.num_wires,
+                    fault_overrides={index: StuckOverride(port)},
+                )
+                assert np.array_equal(
+                    propagate_counts(stuck_balancer(net, index, port), x),
+                    propagate_counts(legacy, x),
+                )
 
 
 class TestSampling:

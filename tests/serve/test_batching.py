@@ -95,6 +95,123 @@ class TestCoalescing:
         run(main())
 
 
+class _TimerCount:
+    """Count the timers the running loop schedules (``call_at``/``call_later``)."""
+
+    def __init__(self, loop):
+        self.calls = 0
+        self._loop = loop
+        for name in ("call_at", "call_later"):
+            setattr(loop, name, self._counting(getattr(loop, name)))
+
+    def _counting(self, fn):
+        def wrapped(*args, **kwargs):
+            self.calls += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    def close(self):
+        for name in ("call_at", "call_later"):
+            delattr(self._loop, name)
+
+
+class TestOneTurnPolicy:
+    """The default batcher (``max_delay=0``) waits for company by yielding
+    one event-loop turn, never by a timer."""
+
+    def test_default_schedules_no_timer(self):
+        async def main():
+            timers = _TimerCount(asyncio.get_running_loop())
+            try:
+                async with Batcher(echo_batch) as b:
+                    assert b.max_delay == 0.0
+                    assert await b.submit("solo") == "solo"
+                    burst = await asyncio.gather(*(b.submit(i) for i in range(10)))
+                    assert burst == list(range(10))
+            finally:
+                timers.close()
+            assert timers.calls == 0
+
+        run(main())
+
+    def test_explicit_delay_schedules_its_window(self):
+        async def main():
+            timers = _TimerCount(asyncio.get_running_loop())
+            try:
+                async with Batcher(echo_batch, max_delay=0.001) as b:
+                    assert await b.submit("solo") == "solo"
+            finally:
+                timers.close()
+            assert timers.calls > 0
+
+        run(main())
+
+    def test_lone_request_dispatches_within_two_turns(self):
+        ticks = 0
+        dispatched_at = []
+
+        def apply(requests):
+            dispatched_at.append(ticks)
+            return list(requests)
+
+        async def ticker():
+            nonlocal ticks
+            while True:
+                await asyncio.sleep(0)
+                ticks += 1
+
+        async def main():
+            async with Batcher(apply) as b:
+                await asyncio.sleep(0)  # the worker blocks on the empty queue
+                t = asyncio.ensure_future(ticker())
+                await asyncio.sleep(0)
+                submitted_at = ticks
+                assert await b.submit("solo") == "solo"
+                t.cancel()
+            assert len(dispatched_at) == 1
+            assert dispatched_at[0] - submitted_at <= 2
+
+        run(main())
+
+    def test_closed_loop_clients_fill_batches(self):
+        # 96 closed-loop clients over max_batch 64: the one turn lets the
+        # clients the previous batch resolved resubmit before dispatch, so
+        # only the final batch (480 = 7 * 64 + 32) is partial.
+        sizes = []
+
+        def apply(requests):
+            sizes.append(len(requests))
+            return list(requests)
+
+        async def main():
+            async with Batcher(apply, max_batch=64) as b:
+
+                async def client(i):
+                    for _ in range(5):
+                        assert await b.submit(i) == i
+
+                await asyncio.gather(*(client(i) for i in range(96)))
+                hist = b.stats.batch_size_hist
+            assert hist == {64: 7, 32: 1}
+            assert sizes[:-1] == [64] * 7
+
+        run(main())
+
+    def test_stop_during_the_turn_still_dispatches(self):
+        async def main():
+            b = Batcher(echo_batch, max_batch=64)
+            await b.start()
+            fut = asyncio.ensure_future(b.submit("last"))
+            await asyncio.sleep(0)  # the request is queued
+            await asyncio.sleep(0)  # the worker took it and is yielding its turn
+            await b.stop()
+            assert await fut == "last"
+            assert b.stats.batches == 1
+
+        run(main())
+
+
 class TestBackpressure:
     def test_overload_rejects_cleanly(self):
         async def main():

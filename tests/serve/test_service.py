@@ -189,3 +189,20 @@ class TestConstruction:
         assert s["issued"] == 5
         assert s["max_batch"] == 32
         assert "batch_size_hist" in s
+
+    def test_default_batches_without_a_linger(self):
+        assert CountingService(k_network([2, 3])).stats()["max_delay"] == 0.0
+
+    def test_closed_loop_fills_batches_exactly_once(self):
+        async def main():
+            async with CountingService(k_network([2, 3])) as svc:
+
+                async def client():
+                    return [await svc.fetch_and_increment() for _ in range(5)]
+
+                got = await asyncio.gather(*(client() for _ in range(96)))
+                return svc.stats(), sorted(v for vs in got for v in vs)
+
+        stats, values = run(main())
+        assert values == list(range(480))
+        assert stats["batch_size_hist"] == {"64": 7, "32": 1}
