@@ -496,6 +496,35 @@ class Network:
         net._io_arrays = self._io_arrays
         return net
 
+    def _reordered(
+        self, name: str, *, out_concat: np.ndarray | None = None,
+        outputs: Sequence[int] | None = None,
+    ) -> "Network":
+        """This network with one balancer's outputs, or the network's
+        output sequence, in another order.
+
+        ``out_concat`` may differ from this network's only by a permutation
+        within one balancer's slice, and ``outputs`` only by a permutation
+        of its entries; the caller guarantees it.  Every wire then keeps
+        its producer and its reader, so each check of :meth:`_validate`
+        still holds and the layering and wire depths are unchanged: the
+        result shares them, and every other array, with this network, and
+        skips re-validation.  The layering is computed here once so that
+        every reordering of this network shares it.  No :class:`Balancer`
+        is built.
+        """
+        self.wire_depths()
+        net = self._shared_as(Network, name)
+        if out_concat is not None:
+            widths, in_concat, _, bounds = self._wiring
+            out_concat.setflags(write=False)
+            net._wiring = (widths, in_concat, out_concat, bounds)
+            net._balancers = net._layers = None
+        if outputs is not None:
+            net.outputs = tuple(outputs)
+            net._io_arrays = None
+        return net
+
     def __repr__(self) -> str:
         return (
             f"Network({self.name!r}, width={self.width}, depth={self.depth}, "

@@ -72,6 +72,10 @@ BACKENDS = ("int64", "bitsliced")
 #: untiled, ~228 ms at 256 KiB, ~143 ms at 1 MiB and ~140 ms at 2 MiB.
 _TILE_BYTES = 1 << 20
 
+#: The narrow lane dtype a count sweep of several rows runs in when its
+#: bound proves every value fits (see ``PlanExecutor._run_impl``).
+_INT32 = np.dtype(np.int32)
+
 #: Arrays that round-trip a plan through ``np.savez`` (see ``to_arrays``).
 _ARRAY_FIELDS = (
     "input_idx",
@@ -351,7 +355,7 @@ def plan_executor(
 class _Scratch:
     """One ``(batch, dtype)``'s worth of reusable evaluation buffers."""
 
-    __slots__ = ("state", "gather", "totals", "numeric", "last_used")
+    __slots__ = ("state", "gather", "totals", "out", "numeric", "last_used")
 
     def __init__(self, plan: ExecutionPlan, batch: int, dtype: np.dtype) -> None:
         max_flat, max_count = _scratch_rows(plan)
@@ -361,6 +365,9 @@ class _Scratch:
         self.state = np.empty((plan.num_wires, batch), dtype=dtype)
         self.gather = np.empty((max_flat, batch), dtype=dtype)
         self.totals = np.empty((max_count, batch), dtype=dtype)
+        # Int32-lane sweeps gather their outputs here, then widen them into
+        # the int64 result; other sweeps never touch it.
+        self.out = np.empty((plan.width, batch), dtype=dtype) if dtype == _INT32 else None
         # Whether the branchless min/max width-2 kernel applies (sort
         # semantics falls back to the generic sort kernel for e.g. str_).
         self.numeric = dtype.kind in "biufc"
@@ -370,10 +377,12 @@ class _Scratch:
         """Views of the first ``batch`` columns' worth of storage, each
         C-contiguous, for a last tile narrower than the pooled one."""
         view = object.__new__(_Scratch)
-        for name in ("state", "gather", "totals"):
+        for name in ("state", "gather", "totals", "out"):
             buf = getattr(self, name)
-            rows = buf.shape[0]
-            setattr(view, name, buf.reshape(-1)[: rows * batch].reshape(rows, batch))
+            if buf is not None:
+                rows = buf.shape[0]
+                buf = buf.reshape(-1)[: rows * batch].reshape(rows, batch)
+            setattr(view, name, buf)
         view.numeric = self.numeric
         return view
 
@@ -503,6 +512,7 @@ class PlanExecutor:
         self._bitplan = BitPlan(plan) if backend == "bitsliced" else None
         # Scratch elements one input vector needs: state, gather and totals.
         self._vector_elems = plan.num_wires + sum(_scratch_rows(plan))
+        self._int32_limit = self.semantics.int32_limit(plan)
         self._workers_pool = None
         self._workers_n = 0
 
@@ -537,9 +547,12 @@ class PlanExecutor:
     def run(self, x: np.ndarray, layer_times: np.ndarray | None = None) -> np.ndarray:
         """Evaluate a ``(B, width)`` batch under this executor's semantics.
 
-        ``count`` takes non-negative counts and evaluates in int64; ``sort``
-        evaluates in the input's own dtype (numbers, strings, ...).  Returns
-        a fresh ``(B, width)`` output array (the only allocation in steady
+        ``count`` returns int64 counts; ``sort`` evaluates in the input's
+        own dtype (numbers, strings, ...).  A count batch of two or more
+        rows is swept in int32 lanes when ``width * max|x| + p_max - 1``
+        fits int32 (no value of the sweep can then exceed it), and in int64
+        lanes otherwise; the outputs are the same either way.  Returns a
+        fresh ``(B, width)`` output array (the only allocation in steady
         state).  When ``layer_times`` (a float64 array of length ``depth``)
         is given, per-layer wall-clock seconds are accumulated into it, over
         every tile of a tiled batch; the arithmetic is identical either way.
@@ -563,17 +576,32 @@ class PlanExecutor:
                 # Bidirectional linkage: the batch span names the executor run
                 # that evaluated it, and the executor span points back up.
                 parent.fields["executor_run"] = span.span_id
-            return self._run_impl(x, layer_times)
+            return self._run_impl(x, layer_times, span)
 
     def _tile_rows(self, dtype: np.dtype) -> int:
         """Input vectors per tile: as many as fit ``_TILE_BYTES`` of scratch."""
         return _TILE_BYTES // (self._vector_elems * dtype.itemsize)
 
-    def _run_impl(self, x: np.ndarray, layer_times: np.ndarray | None = None) -> np.ndarray:
+    def _fits_int32(self, x: np.ndarray) -> bool:
+        """Whether this semantics can sweep ``x`` exactly in int32 lanes.
+
+        The bound is taken in Python ints: negating ``INT64_MIN`` in int64
+        would wrap to itself.
+        """
+        limit = self._int32_limit
+        return limit is not None and max(
+            int(np.maximum.reduce(x, axis=None)), -int(np.minimum.reduce(x, axis=None))
+        ) <= limit
+
+    def _run_impl(
+        self, x: np.ndarray, layer_times: np.ndarray | None = None, span=None
+    ) -> np.ndarray:
         plan = self.plan
         if x.ndim != 2 or x.shape[1] != plan.width:
             raise ValueError(f"expected input shape (B, {plan.width}), got {x.shape}")
         if self.backend == "bitsliced":
+            if span is not None:
+                span.fields["lanes"] = "uint64"
             # Raises NotZeroOneError on anything a bit cannot hold.
             packed, batch = pack_zero_one(x)
             out = self._run_packed_impl(packed, layer_times)
@@ -581,8 +609,15 @@ class PlanExecutor:
         x = self.semantics.prepare(x)
         batch = x.shape[0]
         self.batches += 1
-        tile = max(1, min(batch, self._tile_rows(x.dtype)))
-        s = self.pool.scratch(plan, tile, x.dtype)
+        # The one place the lanes are chosen.  A single vector keeps the
+        # input dtype: its sweep is dispatch-bound, so narrowing saves a few
+        # percent at best, and the cast costs more than that on small nets.
+        lanes = _INT32 if batch > 1 and self._fits_int32(x) else x.dtype
+        if span is not None:
+            # The scalar type's name: ``dtype.name`` runs Python code (~5 us).
+            span.fields["lanes"] = lanes.type.__name__
+        tile = max(1, min(batch, self._tile_rows(lanes)))
+        s = self.pool.scratch(plan, tile, lanes)
         out = np.empty(x.shape, dtype=x.dtype)
         for lo in range(0, batch, tile):
             hi = min(lo + tile, batch)
@@ -594,7 +629,9 @@ class PlanExecutor:
         self, x: np.ndarray, s: _Scratch, out: np.ndarray, layer_times: np.ndarray | None
     ) -> None:
         """Run every segment over ``x`` (one tile) in ``s`` and write the
-        network outputs into ``out``, the tile's rows of the result."""
+        network outputs into ``out``, the tile's rows of the result.  In
+        int32 lanes the tile is narrowed as it is written into the state
+        rows and widened as it leaves through ``s.out``."""
         plan = self.plan
         state = s.state
         state[plan.input_idx] = x.T
@@ -621,7 +658,11 @@ class PlanExecutor:
                     int(seg_in_off[i]), int(seg_out_base[i]),
                 )
                 layer_times[int(seg_layer[i])] += time.perf_counter() - t0
-        state.take(plan.output_idx, axis=0, out=out.T, mode="clip")
+        if state.dtype == out.dtype:
+            state.take(plan.output_idx, axis=0, out=out.T, mode="clip")
+        else:
+            state.take(plan.output_idx, axis=0, out=s.out, mode="clip")
+            out.T[...] = s.out
 
     # -- bit-sliced evaluation ----------------------------------------------
 

@@ -9,6 +9,8 @@ sweep is parameterized by a small kernel object:
     The quiescent-count transfer ``out[j] = ceil((T - j) / p)``: the
     branchless width-2 shift kernel plus the general in-place kernel
     ``(T + p - 1 - j) // p`` (a right shift for ``p`` a power of two).
+    The same kernels run in int64 lanes or, when a batch's bound proves it
+    exact (:meth:`CountSemantics.int32_limit`), in int32 lanes.
 ``SortSemantics``
     Descending compare-exchange: width-2 balancers become a branchless
     ``np.maximum`` / ``np.minimum`` pair, general ``p``-comparators an
@@ -71,6 +73,12 @@ class Semantics:
         """Cast a validated ``(B, w)`` batch to the evaluation dtype."""
         return np.ascontiguousarray(x, dtype=np.int64)
 
+    def int32_limit(self, plan) -> int | None:
+        """The largest input magnitude for which every value a sweep of
+        ``plan`` computes fits int32, or ``None`` if this semantics always
+        sweeps in the input's dtype."""
+        return None
+
     def segment(self, state, scratch, in_flat, p: int, k: int, off: int, ob: int) -> None:
         raise NotImplementedError
 
@@ -79,21 +87,37 @@ class Semantics:
 
 
 class CountSemantics(Semantics):
-    """Quiescent-count transfer (the original plan kernels)."""
+    """Quiescent-count transfer (the original plan kernels).
+
+    The kernels run in the dtype of the state rows they are handed: int64,
+    or int32 when :meth:`int32_limit` proves that exact for the batch.
+    """
 
     name = "count"
 
     def __init__(self) -> None:
-        # Per-width bias column (p - 1 - j) of shape (p, 1, 1), shared
-        # across executors.
-        self._bias: dict[int, np.ndarray] = {}
+        # Bias column (p - 1 - j) of shape (p, 1, 1) per (width, dtype),
+        # shared across executors.
+        self._bias: dict[tuple[int, np.dtype], np.ndarray] = {}
 
-    def _bias_col(self, p: int) -> np.ndarray:
-        col = self._bias.get(p)
+    def _bias_col(self, p: int, dtype: np.dtype) -> np.ndarray:
+        col = self._bias.get((p, dtype))
         if col is None:
-            col = np.arange(p - 1, -1, -1, dtype=np.int64)[:, None, None]
-            self._bias[p] = col
+            col = np.arange(p - 1, -1, -1, dtype=dtype)[:, None, None]
+            self._bias[p, dtype] = col
         return col
+
+    def int32_limit(self, plan) -> int:
+        """``(2^31 - 1 - (p_max - 1)) // width``.
+
+        A ``p``-balancer's outputs add up to its input total and share its
+        sign, so the L1 norm of a row never grows from one layer to the
+        next: no wire, and no balancer total, holds more than ``width *
+        max|x|`` in magnitude.  Before shifting or dividing, the kernels add
+        at most ``p - 1`` to a total.
+        """
+        p_max = int(plan.seg_width.max(initial=1))
+        return (np.iinfo(np.int32).max - (p_max - 1)) // plan.width
 
     def segment(self, state, scratch, in_flat, p: int, k: int, off: int, ob: int) -> None:
         if p == 2:
@@ -116,8 +140,8 @@ class CountSemantics(Semantics):
         # out[j] = (tot + (p - 1 - j)) // p: one add of the cached bias
         # column, then one division, without temporaries.  For p a power of
         # two the division is an arithmetic right shift, which floors every
-        # int64, negative ones included.
-        np.add(tot[None, :, :], self._bias_col(p), out=out)
+        # integer, negative ones included.
+        np.add(tot[None, :, :], self._bias_col(p, tot.dtype), out=out)
         if p & (p - 1):
             np.floor_divide(out, p, out=out)
         else:

@@ -143,14 +143,27 @@ def drop_balancer(net: Network, index: int) -> Network:
     )
 
 
+def _permute_outputs(net: Network, index: int, permute, name: str) -> Network:
+    """``net`` with balancer ``index``'s output wires reordered by
+    ``permute`` (an array -> array function), over the shared wire arrays."""
+    if not 0 <= index < net.size:
+        raise ValueError(f"balancer index {index} out of range")
+    _, _, out_concat, bounds = net.wire_arrays()
+    lo, hi = int(bounds[index]), int(bounds[index + 1])
+    outs = out_concat.copy()
+    outs[lo:hi] = permute(out_concat[lo:hi])
+    return net._reordered(name, out_concat=outs)
+
+
 def flip_balancer(net: Network, index: int) -> Network:
     """Mutant: balancer ``index``'s outputs reversed (most tokens to the
-    bottom wire)."""
-    balancers = [
-        Balancer(b.index, b.inputs, tuple(reversed(b.outputs))) if b.index == index else b
-        for b in net.balancers
-    ]
-    return Network(net.inputs, net.outputs, balancers, net.num_wires, f"{net.name}-flip{index}")
+    bottom wire).
+
+    Reversing one balancer's outputs keeps every invariant the network
+    validator checks, so the mutant copies only ``out_concat``, shares the
+    other wire arrays and the layering, and is not re-validated.
+    """
+    return _permute_outputs(net, index, lambda outs: outs[::-1], f"{net.name}-flip{index}")
 
 
 def toggle_balancer(net: Network, index: int, offset: int = 1) -> Network:
@@ -159,17 +172,12 @@ def toggle_balancer(net: Network, index: int, offset: int = 1) -> Network:
 
     Quiescently this is a rotation of the output wires, so it is a pure
     structural mutation.  For width-2 balancers it coincides with ``flip``.
+    Rotating one balancer's outputs keeps every invariant the network
+    validator checks, so the mutant copies only ``out_concat``, shares the
+    other wire arrays and the layering, and is not re-validated.
     """
-    balancers = []
-    for b in net.balancers:
-        if b.index == index:
-            k = offset % b.width
-            rotated = tuple(b.outputs[-k:] + b.outputs[:-k]) if k else b.outputs
-            balancers.append(Balancer(b.index, b.inputs, rotated))
-        else:
-            balancers.append(b)
-    return Network(
-        net.inputs, net.outputs, balancers, net.num_wires, f"{net.name}-toggle{index}"
+    return _permute_outputs(
+        net, index, lambda outs: np.roll(outs, offset), f"{net.name}-toggle{index}"
     )
 
 
@@ -244,16 +252,15 @@ def swap_layer_inputs(net: Network, index_a: int, index_b: int) -> Network:
 
 def swap_outputs(net: Network, pos_a: int, pos_b: int) -> Network:
     """Mutant: output-sequence positions ``pos_a`` and ``pos_b`` exchanged
-    (misrouted network outputs)."""
+    (misrouted network outputs).
+
+    Reordering the output sequence keeps every invariant the network
+    validator checks, so the mutant shares all of ``net``'s wire arrays and
+    its layering and is not re-validated.
+    """
     outputs = list(net.outputs)
     outputs[pos_a], outputs[pos_b] = outputs[pos_b], outputs[pos_a]
-    return Network(
-        net.inputs,
-        outputs,
-        net.balancers,
-        net.num_wires,
-        f"{net.name}-swapo{pos_a}.{pos_b}",
-    )
+    return net._reordered(f"{net.name}-swapo{pos_a}.{pos_b}", outputs=outputs)
 
 
 def duplicate_layer(net: Network, layer_index: int) -> Network:
@@ -308,10 +315,11 @@ def enumerate_sites(net: Network, fault: str) -> list[tuple[int, ...]]:
     e.g. ``swap_wires`` needs a layer with two balancers)."""
     if fault in ("drop", "flip"):
         return [(i,) for i in range(net.size)]
+    widths = net.wire_arrays()[0].tolist()
     if fault == "toggle":
-        return [(i,) for i, b in enumerate(net.balancers) if b.width >= 2]
+        return [(i,) for i, width in enumerate(widths) if width >= 2]
     if fault == "stuck":
-        return [(i, p) for i, b in enumerate(net.balancers) for p in range(b.width)]
+        return [(i, p) for i, width in enumerate(widths) for p in range(width)]
     if fault == "swap_wires":
         return [tuple(pair) for pair in _same_layer_pairs(net)]
     if fault == "swap_outputs":

@@ -337,19 +337,31 @@ class TestTiling:
         steps = (x.sum(axis=1)[:, None] - np.arange(net.width) + net.width - 1) // net.width
         assert np.array_equal(out, steps)
 
-    def test_layer_times_accumulate_over_every_tile(self, monkeypatch):
+    def _assert_layer_times_cover_every_tile(self, monkeypatch, lanes, high: int) -> None:
+        """Tiles are sized from the evaluation dtype ``lanes``, which the
+        executor picks from the batch's values (below ``high``)."""
         import repro.core.plan as plan_mod
 
         net = k_network([2] * 7)
         ex = PlanExecutor(lower_network(net))
-        x = self._tiled_batch(ex, 14)
+        tile = ex._tile_rows(np.dtype(lanes))
+        x = _random_batch(net, 2 * tile + 7, 14, high)
         monkeypatch.setattr(plan_mod, "time", _TickClock())
         times = np.zeros(ex.plan.depth, dtype=np.float64)
         ex.run(x, layer_times=times)
-        tiles = -(-x.shape[0] // ex._tile_rows(x.dtype))
+        assert list(ex.pool._pool) == [(tile, np.dtype(lanes).str)]
+        tiles = -(-x.shape[0] // tile)
         assert tiles == 3
         segments = np.bincount(ex.plan.seg_layer, minlength=ex.plan.depth)
         assert np.array_equal(times, segments * float(tiles))
+
+    def test_layer_times_accumulate_over_every_tile(self, monkeypatch):
+        # Counts far inside the int32 bound: swept in int32 lanes.
+        self._assert_layer_times_cover_every_tile(monkeypatch, np.int32, 1000)
+
+    def test_layer_times_accumulate_over_every_int64_tile(self, monkeypatch):
+        # Counts past the int32 bound (width 128 admits up to 2^24 - 1).
+        self._assert_layer_times_cover_every_tile(monkeypatch, np.int64, 1 << 40)
 
     def test_repeated_tiled_calls_allocate_nothing(self):
         net = k_network([2] * 7)
@@ -362,6 +374,69 @@ class TestTiling:
             ex.run(self._tiled_batch(ex, seed))
         assert ex.buffer_allocs == allocs
         assert ex.buffer_reuses == reuses + 4
+
+
+# ---------------------------------------------------------------------------
+# Count lanes: int32 where the batch's bound proves it exact.
+# ---------------------------------------------------------------------------
+
+
+def _pooled_lanes(ex: PlanExecutor) -> list[str]:
+    """The dtypes of the executor's pooled scratch, sorted."""
+    return sorted(dtype for _, dtype in ex.pool._pool)
+
+
+class TestCountLanes:
+    def test_multi_row_count_batch_sweeps_in_int32_lanes(self):
+        net = k_network([2, 3, 5])
+        ex = PlanExecutor(lower_network(net))
+        x = _random_batch(net, 16, 21)
+        out = ex.run(x)
+        assert _pooled_lanes(ex) == ["<i4"]
+        # One vector at a time keeps int64 lanes: an int32-vs-int64 differential.
+        rows = np.concatenate([ex.run(x[i : i + 1]) for i in range(x.shape[0])])
+        assert _pooled_lanes(ex) == ["<i4", "<i8"]
+        assert out.dtype == rows.dtype == np.int64
+        assert out.tobytes() == rows.tobytes() == _reference_batch(net, x).tobytes()
+
+    def test_single_vectors_and_sort_batches_keep_the_input_dtype(self):
+        net = k_network([2, 2, 2])
+        count = PlanExecutor(lower_network(net))
+        count.run(_random_batch(net, 1, 0))
+        assert _pooled_lanes(count) == ["<i8"]
+        sort = PlanExecutor(lower_network(net), semantics="sort")
+        sort.run(_random_batch(net, 8, 0))
+        assert _pooled_lanes(sort) == ["<i8"]
+
+    def test_warm_int32_sweep_allocates_only_its_output(self):
+        import tracemalloc
+
+        net = k_network([2] * 7)
+        ex = PlanExecutor(lower_network(net))
+        x = _random_batch(net, 2 * ex._tile_rows(np.dtype(np.int32)) + 7, 5)
+        ex.run(x)  # warm-up: one int32 tile scratch
+        allocs = ex.buffer_allocs
+        tracemalloc.start()
+        try:
+            out = ex.run(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _pooled_lanes(ex) == ["<i4"] and ex.buffer_allocs == allocs
+        # No whole-batch cast and no per-tile temporary on the way out.
+        assert peak < out.nbytes + (64 << 10), (peak, out.nbytes)
+
+    def test_executor_span_names_the_lanes(self):
+        net = k_network([2, 3, 5])
+        x = _random_batch(net, 8, 3)
+        with obs.capture() as (_, spans):
+            propagate_counts(net, x)
+            propagate_counts(net, x[0])
+            plan_executor(net, semantics="sort").run(x)
+            plan_executor(net, backend="bitsliced").run(x % 2)
+        assert [
+            (s.fields["semantics"], s.fields["lanes"]) for s in spans.completed("executor")
+        ] == [("count", "int32"), ("count", "int64"), ("sort", "int64"), ("count", "uint64")]
 
 
 class TestRunParallelDtype:

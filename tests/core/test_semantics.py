@@ -71,6 +71,17 @@ def legacy_sort_walker(net: Network, values: np.ndarray) -> np.ndarray:
     return state[comp.output_idx].T
 
 
+def python_int_count_walker(net: Network, row) -> list[int]:
+    """Per-balancer quiescent-count walk in Python ints, which cannot
+    overflow: the oracle for sweeps at the edge of a lane's range."""
+    state = dict(zip(net.inputs, (int(v) for v in row)))
+    for b in net.balancers:
+        total = sum(state[w] for w in b.inputs)
+        for j, w in enumerate(b.outputs):
+            state[w] = (total - j + b.width - 1) // b.width
+    return [state[w] for w in net.outputs]
+
+
 def reference_with_overrides(net: Network, values: np.ndarray) -> np.ndarray:
     """Per-balancer comparator oracle honoring ``fault_overrides``: a stuck
     balancer does not compare — values pass through unsorted."""
@@ -287,11 +298,13 @@ class TestDifferential:
 # ---------------------------------------------------------------------------
 
 
-def _tiled_values(net: Network, rows: int, dtype: np.dtype, seed: int) -> np.ndarray:
+def _tiled_values(
+    net: Network, rows: int, dtype: np.dtype, seed: int, low: int = 0
+) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if dtype.kind == "f":
         return rng.random((rows, net.width)).astype(dtype)
-    return rng.integers(0, 100, size=(rows, net.width)).astype(dtype)
+    return rng.integers(low, 100, size=(rows, net.width)).astype(dtype)
 
 
 class TestTiling:
@@ -311,13 +324,69 @@ class TestTiling:
         monkeypatch.setattr(plan_mod, "_TILE_BYTES", 4096)
         net = build()
         ex = PlanExecutor(lower_plan(net), semantics=semantics)
-        tile = ex._tile_rows(np.dtype(dtype))
-        x = _tiled_values(net, 2 * tile + max(tile // 2, 1), np.dtype(dtype), tile)
+        # Count batches of mixed-sign values are swept in int32 lanes; the
+        # single rows below keep int64, so this is an int32-vs-int64
+        # differential too.
+        lanes = np.dtype("int32" if semantics == "count" else dtype)
+        tile = ex._tile_rows(lanes)
+        low = -100 if semantics == "count" else 0
+        x = _tiled_values(net, 2 * tile + max(tile // 2, 1), np.dtype(dtype), tile, low)
         out = ex.run(x)
+        assert (tile, lanes.str) in ex.pool._pool
         rows = np.concatenate([ex.run(x[i : i + 1]) for i in range(x.shape[0])])
         walker = legacy_count_walker if semantics == "count" else legacy_sort_walker
         assert out.dtype == rows.dtype
         assert out.tobytes() == rows.tobytes() == walker(net, x).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Count lanes: int32 only where the batch's bound proves it exact
+# ---------------------------------------------------------------------------
+
+
+def _swept_lanes(net: Network, x: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Sweep ``x`` on a fresh executor; return the output and the dtypes
+    of the scratch it pooled."""
+    ex = PlanExecutor(lower_plan(net))
+    out = ex.run(x)
+    return out, sorted(dtype for _, dtype in ex.pool._pool)
+
+
+class TestCountLanes:
+    @pytest.mark.parametrize("factors", [[2, 2], [2, 3]], ids=["K(2,2)", "K(2,3)"])
+    def test_largest_admitted_value_and_one_token_above(self, factors):
+        """K(2,2) is one 4-balancer and K(2,3) one 6-balancer, so a row of
+        equal entries drives the balancer's total plus its bias to the
+        bound.  Rows at the largest value the bound admits sweep in int32;
+        one token more sweeps in int64, where int32 would overflow."""
+        net = k_network(factors)
+        p = net.width
+        assert net.size == 1 and net.max_balancer_width == p
+        limit = get_semantics("count").int32_limit(lower_plan(net))
+        int32_max = int(np.iinfo(np.int32).max)
+        assert p * limit + p - 1 <= int32_max < p * (limit + 1) + p - 1
+        at = np.full((3, p), limit, dtype=np.int64)
+        above = at.copy()
+        above[1, 0] += 1
+        for x, lanes in ((at, ["<i4"]), (above, ["<i8"]), (-at, ["<i4"]), (-above, ["<i8"])):
+            out, pooled = _swept_lanes(net, x)
+            assert pooled == lanes, (x[:, 0], pooled)
+            assert out.dtype == np.int64
+            assert out.tolist() == [python_int_count_walker(net, row) for row in x]
+
+    def test_mixed_signs_and_int64_min_never_narrow_on_a_wrapped_check(self):
+        """``np.abs(INT64_MIN)`` is ``INT64_MIN``: a bound taken in int64
+        would call that row small and cast it to int32."""
+        net = k_network([2, 2, 2])
+        x = np.random.default_rng(4).integers(-1000, 1000, size=(4, net.width))
+        out, pooled = _swept_lanes(net, x)
+        assert pooled == ["<i4"]
+        assert out.tolist() == [python_int_count_walker(net, row) for row in x]
+        x[2] = np.abs(x[2])
+        x[2, 3] = np.iinfo(np.int64).min
+        out, pooled = _swept_lanes(net, x)
+        assert pooled == ["<i8"]
+        assert out.tolist() == [python_int_count_walker(net, row) for row in x]
 
 
 # ---------------------------------------------------------------------------

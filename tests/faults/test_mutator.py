@@ -22,6 +22,9 @@ from repro.faults.mutator import (
     swap_outputs,
     toggle_balancer,
 )
+from repro.baselines import bitonic_network
+from repro.core.compiled import compile_network
+from repro.core.network import Balancer, Network
 from repro.networks import k_network, l_network
 from repro.networks.counting import clear_construction_cache
 from repro.sim.count_sim import propagate_counts, propagate_counts_reference
@@ -175,6 +178,75 @@ class TestStuckOverride:
                     propagate_counts(stuck_balancer(net, index, port), x),
                     propagate_counts(legacy, x),
                 )
+
+
+def _balancer_list_mutant(net, fault: str, site: tuple[int, ...]) -> Network:
+    """The same mutant built the old way: a rebuilt :class:`Balancer` list
+    through the validating constructor."""
+    if fault == "swap_outputs":
+        outputs = list(net.outputs)
+        a, b = site
+        outputs[a], outputs[b] = outputs[b], outputs[a]
+        return Network(net.inputs, outputs, net.balancers, net.num_wires)
+    (index,) = site
+    balancers = []
+    for b in net.balancers:
+        outs = b.outputs
+        if b.index == index:
+            outs = tuple(reversed(outs)) if fault == "flip" else outs[-1:] + outs[:-1]
+        balancers.append(Balancer(b.index, b.inputs, outs))
+    return Network(net.inputs, net.outputs, balancers, net.num_wires)
+
+
+_REORDERING = ("flip", "toggle", "swap_outputs")
+_REORDERED_NETS = [
+    pytest.param(lambda: k_network([2, 2, 2]), id="K(2,2,2)"),
+    pytest.param(lambda: bitonic_network(8), id="bitonic(8)"),
+]
+
+
+class TestReorderingMutants:
+    """Flip, toggle and swap_outputs only reorder wires, so their mutants
+    share the pristine arrays and layering instead of rebuilding them."""
+
+    @pytest.mark.parametrize("build", _REORDERED_NETS)
+    def test_build_no_balancer(self, build, balancers_created):
+        clear_construction_cache()
+        net = build()
+        x = structured_counts(net.width)
+        for fault in _REORDERING:
+            for site in enumerate_sites(net, fault):
+                m = mutate(net, fault, site).network
+                m.depth
+                compile_network(m)
+                propagate_counts(m, x)
+        assert balancers_created == []
+
+    @pytest.mark.parametrize("build", _REORDERED_NETS)
+    def test_match_the_balancer_list_construction(self, build):
+        net = build()
+        x = structured_counts(net.width)
+        widths, in_concat, _, bounds = net.wire_arrays()
+        for fault in _REORDERING:
+            for site in enumerate_sites(net, fault):
+                m = mutate(net, fault, site).network
+                legacy = _balancer_list_mutant(net, fault, site)
+                assert m.inputs == legacy.inputs and m.outputs == legacy.outputs
+                assert m.num_wires == legacy.num_wires
+                for a, b in zip(m.wire_arrays(), legacy.wire_arrays()):
+                    assert np.array_equal(a, b), (fault, site)
+                assert np.array_equal(m.balancer_layers(), legacy.balancer_layers())
+                assert m.depth == legacy.depth
+                assert np.array_equal(propagate_counts(m, x), propagate_counts(legacy, x))
+                # Shared, not copied: only out_concat (or the outputs) is new.
+                assert m.wire_arrays()[0] is widths and m.wire_arrays()[1] is in_concat
+                assert m.wire_arrays()[3] is bounds
+                assert m.balancer_layers() is net.balancer_layers()
+
+    def test_out_of_range_balancer_rejected(self, net):
+        for mutator in (flip_balancer, toggle_balancer):
+            with pytest.raises(ValueError, match="out of range"):
+                mutator(net, net.size)
 
 
 class TestSampling:

@@ -8,6 +8,7 @@ it enabled the profiler yields coherent hot-spot tables and a valid
 
 from __future__ import annotations
 
+import gc
 import json
 
 import numpy as np
@@ -76,6 +77,11 @@ class TestByteIdenticalResults:
 
 class TestInstrumentationHooks:
     def test_build_and_compile_events(self):
+        # Executors are memoized per equal network, and every single
+        # 6-balancer network (K(2,3), K(3,2), K(6)) equals this one: an equal
+        # network an earlier test left in a reference cycle would hand this
+        # build its executor, and nothing would be lowered or looked up.
+        gc.collect()
         with obs.capture() as (reg, spans):
             net = k_network([2, 3])
             propagate_counts(net, np.zeros(net.width, dtype=np.int64))
