@@ -123,7 +123,7 @@ def test_searched_vs_stock_table(save_table):
 
     def serve_p50_ms(net) -> float:
         async def run():
-            service = CountingService(net, max_batch=32, max_delay=0.0005)
+            service = CountingService(net, max_batch=32)
             gen = LoadGenerator(mode="closed", clients=8, ops=40, seed=0)
             async with service:
                 return await gen.run_service(service)

@@ -3,16 +3,20 @@
 The paper's whole point is that counting scales by *adding width* instead
 of sharing one hot location; :mod:`repro.cluster` applies the same move at
 process granularity (shard ``i`` of ``S`` dispenses the residue class
-``i + S·k``).  This bench sweeps 1/2/4 shards behind the splice-mode
-router under multi-process closed-loop load — weak scaling, with a fixed
-client pool per shard — and verifies both the performance claim (the
-4-shard cluster at least doubles the 1-shard throughput through the
-identical TCP + WAL + router path) and the correctness claim (the union
-of every client's values is exactly-once across the whole sweep).
+``i + S·k``).  This bench sweeps 1/2/4 shards behind the router at its
+default batching (no linger: a short batch waits one event-loop turn)
+under multi-process closed-loop load — weak scaling, with a fixed client
+pool per shard — and checks the correctness claim: the union of every
+client's values is exactly-once across each point, and no request is
+rejected.
 
 The measured rows are merged into ``BENCH_serve_scale.json`` as
 ``cluster_rows`` alongside the existing single-process ``rows``;
-``check_budgets.py`` gates the 4-shard speedup and exactly-once flags.
+``check_budgets.py`` gates them: every row exactly-once with zero
+rejections, a p99 ceiling at every shard count, and a 4-shard speedup
+floor.  Every process here (router, shards, load) shares the host's
+cores, so the speedup a host can show is bounded by its core count; the
+p99 ceiling is what fails if a deliberate batching delay comes back.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from repro.cluster import Cluster, ClusterConfig
 from repro.serve import run_multiprocess_tcp
 
 CLIENTS_PER_PROC = 8
-OPS = 40
+OPS = 2000  # per client: every point runs for over a second (1 shard: ~13k req/s)
 
 
 def _cluster_point(shards: int) -> dict:
@@ -36,13 +40,7 @@ def _cluster_point(shards: int) -> dict:
                 shards=shards,
                 wal_dir=wal_dir,
                 factors=(2, 3, 2),
-                mode="splice",
                 max_batch=128,
-                # A deliberately dominant linger: every point pays the same
-                # per-shard coalescing window, so the sweep measures how many
-                # such windows run side by side (weak scaling), not how fast
-                # one CPU can turn the crank on a single batcher.
-                max_delay=0.005,
                 fsync=False,  # scaling measurement; chaos tests own durability
                 supervise=False,
             )
@@ -63,6 +61,8 @@ def _cluster_point(shards: int) -> dict:
             "procs": shards,
             "clients": report.clients,
             "requests": report.requests,
+            "rejected": report.rejected,
+            "duration_s": round(report.duration_s, 3),
             "throughput": round(report.throughput, 1),
             "p50_ms": round(report.latency_percentile(50) * 1e3, 3),
             "p99_ms": round(report.latency_percentile(99) * 1e3, 3),
@@ -85,11 +85,9 @@ def test_cluster_weak_scaling(save_table, update_serve_scale):
     update_serve_scale(cluster_rows=cluster_rows)
 
     # Exactly-once across every point: values distinct, residue classes
-    # gap-free (nothing was killed, so the gap budget is zero).
+    # gap-free (nothing was killed, so the gap budget is zero), and every
+    # request answered.  The timing bounds live in budgets.json.
     for row in cluster_rows:
         assert row["exactly_once"], row
         assert row["stride"] == row["shards"]
-
-    # The acceptance floor: 4 shards at least double the 1-shard cluster
-    # throughput through the same router/WAL/TCP path.
-    assert cluster_rows[-1]["speedup_vs_1shard"] >= 2.0, cluster_rows
+        assert row["rejected"] == 0, row

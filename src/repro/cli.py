@@ -297,7 +297,6 @@ def _make_service(args: argparse.Namespace):
 
     kwargs = dict(
         max_batch=args.max_batch,
-        max_delay=args.max_delay,
         queue_limit=args.queue_limit,
         validate=not args.no_validate,
     )
@@ -329,11 +328,6 @@ def _add_service_args(p: argparse.ArgumentParser) -> None:
     _add_variant_arg(p)
     p.add_argument("--max-batch", type=int, default=64, help="requests per vectorized batch")
     p.add_argument(
-        "--max-delay", type=float, default=0.0,
-        help="seconds to linger for batch company after the first request "
-        "(default 0: yield one event-loop turn, no timer)",
-    )
-    p.add_argument(
         "--queue-limit", type=int, default=1024,
         help="pending requests before submissions are rejected (backpressure)",
     )
@@ -358,7 +352,7 @@ def _serve(args: argparse.Namespace) -> int:
         print(
             f"serving {net.name} (width={net.width} depth={net.depth}) "
             f"on {host}:{port}  max_batch={service._batcher.max_batch} "
-            f"max_delay={service._batcher.max_delay} queue_limit={service._batcher.queue_limit}",
+            f"queue_limit={service._batcher.queue_limit}",
             flush=True,
         )
         try:
@@ -464,12 +458,9 @@ def _cluster_start(args: argparse.Namespace) -> int:
         construction=args.construction,
         host=args.host,
         router_port=args.port,
-        mode=args.mode,
         max_batch=args.max_batch,
-        max_delay=args.max_delay,
         queue_limit=args.queue_limit,
         fsync=not args.no_fsync,
-        adaptive=args.adaptive,
         obs=args.obs,
         rate=args.rate,
         burst=args.burst,
@@ -480,7 +471,7 @@ def _cluster_start(args: argparse.Namespace) -> int:
             host, port = cluster.address
             print(
                 f"cluster: {cfg.shards} shard(s) behind router {host}:{port} "
-                f"(mode={cfg.mode}, wal_dir={cfg.wal_dir})",
+                f"(wal_dir={cfg.wal_dir})",
                 flush=True,
             )
             for w in cluster.workers:
@@ -527,7 +518,7 @@ def _cluster_status(args: argparse.Namespace) -> int:
     router = state.get("router", {})
     print(
         f"cluster pid={state.get('pid')}: {state.get('num_shards')} shard(s), "
-        f"router {router.get('host')}:{router.get('port')} (mode={router.get('mode')}), "
+        f"router {router.get('host')}:{router.get('port')}, "
         f"restarts={state.get('restarts')}"
     )
     for s in state.get("shards", []):
@@ -704,7 +695,7 @@ def _fuzz_chaos(args: argparse.Namespace) -> int:
         net = stuck_balancer(net, 0, port=0)
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    service = CountingService(net, max_batch=args.max_batch, max_delay=args.max_delay)
+    service = CountingService(net, max_batch=args.max_batch)
     report = run_chaos(
         service,
         requests=args.requests,
@@ -1066,23 +1057,11 @@ def main(argv: list[str] | None = None) -> int:
     cls_.add_argument("--construction", choices=["K", "L", "C"], default="K")
     cls_.add_argument("--host", default="127.0.0.1")
     cls_.add_argument("--port", type=int, default=0, help="router port (0 = ephemeral)")
-    cls_.add_argument(
-        "--mode", choices=["line", "splice"], default="line",
-        help="router forwarding: line parses/aggregates, splice shovels bytes",
-    )
     cls_.add_argument("--max-batch", type=int, default=64)
-    cls_.add_argument(
-        "--max-delay", type=float, default=0.0,
-        help="seconds a shard lingers for batch company (default 0: one event-loop turn)",
-    )
     cls_.add_argument("--queue-limit", type=int, default=1024)
     cls_.add_argument(
         "--no-fsync", action="store_true",
         help="skip fsync on WAL appends (faster; durable only to the OS cache)",
-    )
-    cls_.add_argument(
-        "--adaptive", action="store_true",
-        help="run the adaptive batch tuner in every shard",
     )
     cls_.add_argument(
         "--obs", action="store_true",
@@ -1190,7 +1169,6 @@ def main(argv: list[str] | None = None) -> int:
     zc.add_argument("--clients", type=int, default=16)
     zc.add_argument("--seed", type=int, default=0)
     zc.add_argument("--max-batch", type=int, default=64)
-    zc.add_argument("--max-delay", type=float, default=0.0005)
     zc.add_argument("--drop-before", type=float, default=0.03)
     zc.add_argument("--drop-after", type=float, default=0.02)
     zc.add_argument("--delay-rate", type=float, default=0.05)

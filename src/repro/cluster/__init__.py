@@ -20,9 +20,8 @@ Layout::
     wal.py        TokenWAL — fixed 32-byte CRC records, torn-tail repair
     hashing.py    stable_hash + HashRing (balance/stability properties)
     ratelimit.py  TokenBucket / ClientRateLimiter (router admission)
-    tuner.py      recommend() + AdaptiveBatchTuner (live batch knobs)
     shard.py      ShardSpec / shard_main / ShardWorker (one process each)
-    router.py     ClusterRouter — line + splice forwarding, aggregation
+    router.py     ClusterRouter — line forwarding, aggregation
     cluster.py    ClusterConfig / Cluster — assembly, supervision, state
 """
 
@@ -31,7 +30,6 @@ from .hashing import HashRing, stable_hash
 from .ratelimit import ClientRateLimiter, TokenBucket
 from .router import ClusterRouter
 from .shard import ShardSpec, ShardWorker, make_shard_service, shard_main
-from .tuner import AdaptiveBatchTuner, TunerConfig, TunerSample, recommend
 from .wal import TokenWAL, WALCorruptionError, WALError, WALRecord, WALReplay, replay
 
 __all__ = [
@@ -42,10 +40,6 @@ __all__ = [
     "stable_hash",
     "ClientRateLimiter",
     "TokenBucket",
-    "AdaptiveBatchTuner",
-    "TunerConfig",
-    "TunerSample",
-    "recommend",
     "ShardSpec",
     "ShardWorker",
     "make_shard_service",

@@ -40,12 +40,9 @@ class ClusterConfig:
     construction: str = "K"
     host: str = "127.0.0.1"
     router_port: int = 0
-    mode: str = "line"
     max_batch: int = 64
-    max_delay: float = 0.0
     queue_limit: int = 1024
     fsync: bool = True
-    adaptive: bool = False
     obs: bool = False
     rate: float | None = None  # per-client tokens/second (None = no limiting)
     burst: float | None = None  # bucket capacity (defaults to 2×rate)
@@ -69,10 +66,8 @@ class ClusterConfig:
             wal_path=os.path.join(self.wal_dir, f"shard-{shard_id}.wal"),
             host=self.host,
             max_batch=self.max_batch,
-            max_delay=self.max_delay,
             queue_limit=self.queue_limit,
             fsync=self.fsync,
-            adaptive=self.adaptive,
             obs=self.obs,
         )
 
@@ -131,7 +126,6 @@ class Cluster:
             self.addresses,
             host=self.config.host,
             port=self.config.router_port,
-            mode=self.config.mode,
             rate_limiter=self.rate_limiter,
             replicas=self.config.replicas,
             worker_info=self.worker_info,
@@ -206,7 +200,6 @@ class Cluster:
             "router": {
                 "host": self.config.host,
                 "port": self.router.address[1] if self.router is not None else None,
-                "mode": self.config.mode,
             },
             "num_shards": self.config.shards,
             "restarts": self.restarts,

@@ -49,13 +49,6 @@ class TokenBucket:
             return True
         return False
 
-    def eta(self, cost: float = 1.0) -> float:
-        """Seconds until ``cost`` tokens will be affordable (0 if now)."""
-        self._refill()
-        if self._tokens >= cost:
-            return 0.0
-        return (cost - self._tokens) / self.rate
-
 
 class ClientRateLimiter:
     """A lazily-allocated bucket per client key.
@@ -95,13 +88,6 @@ class ClientRateLimiter:
         if not ok:
             self.rejected += 1
         return ok
-
-    def eta(self, key: str, cost: float = 1.0) -> float:
-        """Seconds until ``key`` can afford ``cost`` (splice-mode pacing)."""
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            return 0.0
-        return bucket.eta(cost)
 
     def forget(self, key: str) -> None:
         """Drop a client's bucket (connection closed)."""

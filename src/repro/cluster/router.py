@@ -8,20 +8,13 @@ Because shards dispense disjoint residue classes (shard ``i`` of ``S``
 serves ``i + S·k``), a shard's ``OK`` line is already cluster-correct and
 the router never rewrites payload bytes.
 
-Two forwarding modes:
-
-* ``"line"`` (default) — the router parses each request line.  ``INC``
-  passes through the per-client token bucket (``ERR throttled`` when
-  empty) and is forwarded verbatim; ``STATS``/``METRICS`` are answered by
-  the *router* with a cluster-wide aggregation (per-shard stats merged,
-  per-shard Prometheus payloads relabelled with ``shard="i"``);
-  ``PING``/``FLIGHT`` are answered locally.
-* ``"splice"`` — the shard is chosen at accept time and the router then
-  shovels raw bytes both ways without parsing.  This is the throughput
-  path for benchmarks: per-request router overhead is one ``memchr`` for
-  the forwarded-line counter.  Rate limiting degrades to pacing (the
-  router cannot inject an ``ERR`` line mid-stream without tracking
-  request framing, so it delays the offending chunk instead).
+The router parses each request line.  ``INC`` passes through the
+per-client token bucket (``ERR throttled`` when empty) and is forwarded
+verbatim; ``STATS``/``METRICS`` are answered by the *router* with a
+cluster-wide aggregation (per-shard stats merged, per-shard Prometheus
+payloads relabelled with ``shard="i"``), each shard asked over a control
+connection opened for that one call; ``PING``/``FLIGHT`` are answered
+locally.
 
 Failure semantics: the router never retries an ``INC`` on a dead shard —
 a lost in-flight request must surface to the client (whose reconnect path
@@ -48,9 +41,6 @@ from .ratelimit import ClientRateLimiter
 
 __all__ = ["ClusterRouter"]
 
-_CHUNK = 1 << 16
-_DRAIN_HIGH_WATER = 1 << 18
-
 
 class _Upstream:
     """One client's lazily-opened connection to its shard."""
@@ -72,8 +62,6 @@ class ClusterRouter:
         port)``.  Looked up per connection/reconnect, so a live mapping
         (ports are pinned across shard restarts) keeps routing correct
         through chaos.
-    mode:
-        ``"line"`` or ``"splice"`` (see module docstring).
     rate_limiter:
         Optional :class:`ClientRateLimiter`; each ``INC n`` costs ``n``.
     worker_info:
@@ -87,13 +75,10 @@ class ClusterRouter:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        mode: str = "line",
         rate_limiter: ClientRateLimiter | None = None,
         replicas: int = 64,
         worker_info: Callable[[], dict] | None = None,
     ) -> None:
-        if mode not in ("line", "splice"):
-            raise ValueError(f"mode must be 'line' or 'splice', got {mode!r}")
         if callable(shards):
             raise TypeError("pass a mapping of shard addresses; a live dict works")
         if not isinstance(shards, Mapping) or not shards:
@@ -101,12 +86,10 @@ class ClusterRouter:
         self.shards = shards
         self.host = host
         self.port = port
-        self.mode = mode
         self.rate_limiter = rate_limiter
         self.worker_info = worker_info
         self.ring = HashRing(sorted(shards), replicas=replicas)
         self._server: asyncio.AbstractServer | None = None
-        self._ctrl: dict[int, object] = {}  # shard_id -> TCPCounterClient
         # Always-maintained counters (mirrored into METRICS).
         self.connections = 0
         self.active = 0
@@ -124,20 +107,13 @@ class ClusterRouter:
         return host, port
 
     async def start(self) -> None:
-        handler = self._handle_line if self.mode == "line" else self._handle_splice
-        self._server = await asyncio.start_server(handler, self.host, self.port)
+        self._server = await asyncio.start_server(self._handle_line, self.host, self.port)
 
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for client in self._ctrl.values():
-            try:
-                await client.close()
-            except (ConnectionError, OSError):  # pragma: no cover — teardown race
-                pass
-        self._ctrl.clear()
 
     async def __aenter__(self) -> "ClusterRouter":
         await self.start()
@@ -154,7 +130,6 @@ class ClusterRouter:
 
     def router_stats(self) -> dict:
         return {
-            "mode": self.mode,
             "connections": self.connections,
             "active": self.active,
             "forwarded": self.forwarded,
@@ -163,7 +138,7 @@ class ClusterRouter:
             "rate_limited_clients": len(self.rate_limiter) if self.rate_limiter else 0,
         }
 
-    # -- line mode ------------------------------------------------------------
+    # -- forwarding -----------------------------------------------------------
 
     async def _handle_line(self, reader, writer) -> None:
         self.connections += 1
@@ -262,67 +237,6 @@ class ClusterRouter:
             return None
         return line
 
-    # -- splice mode ----------------------------------------------------------
-
-    async def _handle_splice(self, reader, writer) -> None:
-        self.connections += 1
-        self.active += 1
-        peer = writer.get_extra_info("peername") or ("?", 0)
-        key = f"{peer[0]}:{peer[1]}"
-        shard_id = self.shard_for(key)
-        upstream = await self._connect_upstream(shard_id)
-        if upstream is None:
-            writer.write(encode_error("overloaded", f"shard {shard_id} unavailable"))
-            try:
-                await writer.drain()
-            except ConnectionError:
-                pass
-            writer.close()
-            self.active -= 1
-            return
-        try:
-            await asyncio.gather(
-                self._pump(reader, upstream.writer, key=key, count=True),
-                self._pump(upstream.reader, writer),
-            )
-        finally:
-            self.active -= 1
-            for w in (upstream.writer, writer):
-                w.close()
-            for w in (upstream.writer, writer):
-                try:
-                    await w.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
-
-    async def _pump(self, reader, writer, *, key: str | None = None, count: bool = False) -> None:
-        """Shovel bytes one way until EOF; half-closes the write side."""
-        try:
-            while True:
-                chunk = await reader.read(_CHUNK)
-                if not chunk:
-                    break
-                if count:
-                    n = chunk.count(b"\n")
-                    self.forwarded += n
-                    if self.rate_limiter is not None and n:
-                        wait = self.rate_limiter.eta(key, n)
-                        if wait > 0:
-                            self.throttled += 1
-                            await asyncio.sleep(wait)
-                        self.rate_limiter.allow(key, n)
-                writer.write(chunk)
-                if writer.transport.get_write_buffer_size() > _DRAIN_HIGH_WATER:
-                    await writer.drain()
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            try:
-                if writer.can_write_eof():
-                    writer.write_eof()
-            except (ConnectionError, OSError, RuntimeError):
-                pass
-
     # -- aggregation ----------------------------------------------------------
 
     async def cluster_stats(self) -> dict:
@@ -394,16 +308,11 @@ class ClusterRouter:
 
     async def _shard_stats(self, shard_id: int):
         """``(stats, request_p99_s)`` for one shard, None when unreachable."""
-        for _attempt in range(2):  # one reconnect: the shard may have restarted
-            client = await self._control(shard_id)
-            if client is None:
-                continue
-            try:
-                stats = await client.stats()
-                return stats, await self._shard_p99(client)
-            except (ConnectionError, OSError, ProtocolError):
-                self._drop_control(shard_id)
-        return None
+
+        async def ask(client):
+            return await client.stats(), await self._shard_p99(client)
+
+        return await self._ask(shard_id, ask)
 
     async def _shard_p99(self, client) -> float | None:
         """p99 request latency from the shard's own METRICS, when obs is on."""
@@ -446,23 +355,18 @@ class ClusterRouter:
         reg.counter("cluster.router_shard_errors_total").inc(self.shard_errors)
         if self.rate_limiter is not None:
             reg.counter("cluster.router_rate_rejected_total").inc(self.rate_limiter.rejected)
-        texts = [render_registry(reg)]
-        up = 0
-        for sid in sorted(self.shards):
-            client = await self._control(sid)
-            if client is None:
-                continue
-            try:
-                text = await client.metrics()
-            except (ConnectionError, OSError, ProtocolError):
-                self._drop_control(sid)
-                continue
-            up += 1
-            texts.append(relabel_exposition(text, {"shard": str(sid)}))
+        shard_ids = sorted(self.shards)
+        results = await asyncio.gather(
+            *(self._ask(sid, lambda client: client.metrics()) for sid in shard_ids)
+        )
+        shard_texts = [
+            relabel_exposition(text, {"shard": str(sid)})
+            for sid, text in zip(shard_ids, results)
+            if text is not None
+        ]
         up_reg = MetricsRegistry()
-        up_reg.gauge("cluster.shards_up").set(up)
-        texts.insert(1, render_registry(up_reg))
-        return merge_expositions(texts)
+        up_reg.gauge("cluster.shards_up").set(len(shard_texts))
+        return merge_expositions([render_registry(reg), render_registry(up_reg), *shard_texts])
 
     def _flight_json(self) -> bytes:
         import json
@@ -473,22 +377,23 @@ class ClusterRouter:
         payload["router"] = self.router_stats()
         return (json.dumps(payload, default=str) + "\n").encode("ascii", errors="replace")
 
-    # -- control-connection pool ----------------------------------------------
+    # -- control connections --------------------------------------------------
 
-    async def _control(self, shard_id: int):
-        client = self._ctrl.get(shard_id)
-        if client is not None:
-            return client
+    async def _ask(self, shard_id: int, ask):
+        """Open a control connection to one shard, ``await ask(client)`` on
+        it, and close it; None when the shard is unreachable or the exchange
+        fails.  Every call dials its own connection, so concurrent
+        ``STATS``/``METRICS`` from many clients never share (and never
+        desynchronise) one reply stream."""
         from ..serve.loadgen import TCPCounterClient
 
         try:
             client = await TCPCounterClient.connect(*self.shard_address(shard_id))
         except (ConnectionError, OSError):
             return None
-        self._ctrl[shard_id] = client
-        return client
-
-    def _drop_control(self, shard_id: int) -> None:
-        client = self._ctrl.pop(shard_id, None)
-        if client is not None:
-            client._writer.close()
+        try:
+            return await ask(client)
+        except (ConnectionError, OSError, ProtocolError):
+            return None
+        finally:
+            await client.close()

@@ -49,10 +49,8 @@ class ShardSpec:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral on first start; pinned after
     max_batch: int = 64
-    max_delay: float = 0.0
     queue_limit: int = 1024
     fsync: bool = True
-    adaptive: bool = False
     obs: bool = False
 
     def build_network(self):
@@ -76,7 +74,6 @@ def make_shard_service(spec: ShardSpec):
     service = CountingService(
         net,
         max_batch=spec.max_batch,
-        max_delay=spec.max_delay,
         queue_limit=spec.queue_limit,
         value_base=spec.shard_id,
         value_stride=spec.num_shards,
@@ -124,17 +121,9 @@ def shard_main(spec: ShardSpec, ready) -> None:
                 "torn_bytes": replay.torn_bytes,
             }
         )
-        tuner = None
-        if spec.adaptive:
-            from .tuner import AdaptiveBatchTuner
-
-            tuner = AdaptiveBatchTuner(service._batcher)
-            tuner.start()
         try:
             await stop.wait()
         finally:
-            if tuner is not None:
-                await tuner.stop()
             await server.stop()
             wal.close()
 

@@ -8,13 +8,12 @@ balancers in Python on the hot path.  Instead a network is compiled once into
 balancers).  Evaluating a layer is then one gather, one vectorized
 reduction/sort, and one scatter per width group — contiguous numpy work.
 
-Compilation results are memoized per :class:`~repro.core.network.Network`
-instance in a ``WeakKeyDictionary`` so repeated simulations are cheap.
+Compilation results are memoized on the :class:`~repro.core.network.Network`
+instance so repeated simulations are cheap.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +65,6 @@ class CompiledNetwork:
         return len(self.layers)
 
 
-_cache: "weakref.WeakKeyDictionary[Network, CompiledNetwork]" = weakref.WeakKeyDictionary()
-
-
 def compile_network(net: Network) -> CompiledNetwork:
     """Compile (and memoize) ``net`` into a :class:`CompiledNetwork`.
 
@@ -77,9 +73,8 @@ def compile_network(net: Network) -> CompiledNetwork:
     forms the groups: widths ascending within a layer, balancer index
     order within a group.
     """
-    cached = _cache.get(net)
-    if cached is not None:
-        return cached
+    if net._compiled is not None:
+        return net._compiled
 
     widths, in_concat, out_concat, bounds = net.wire_arrays()
     layer = net.balancer_layers()
@@ -100,5 +95,5 @@ def compile_network(net: Network) -> CompiledNetwork:
         output_idx=np.array(net.outputs, dtype=np.int64),
         layers=tuple(tuple(groups) for groups in layers),
     )
-    _cache[net] = compiled
+    net._compiled = compiled
     return compiled

@@ -169,6 +169,11 @@ class Network:
         self._wire_depth: np.ndarray | None = None
         self._layers: list[list[Balancer]] | None = None
         self._io_arrays: tuple[np.ndarray, np.ndarray] | None = None
+        # Evaluation artifacts memoized on this instance by
+        # repro.core.compiled.compile_network and repro.core.plan.
+        self._compiled = None
+        self._plan = None
+        self._executors: dict = {}
 
     @classmethod
     def _from_wiring(
@@ -486,14 +491,17 @@ class Network:
         return self._shared_as(Network, name)
 
     def _shared_as(self, cls: type, name: str) -> "Network":
-        """A ``cls`` instance over this network's wire arrays and cached
-        layering: no copy, no re-validation, no :class:`Balancer` built."""
+        """A ``cls`` instance over this network's wire arrays, cached
+        layering and lowered plan: no copy, no re-validation, no
+        :class:`Balancer` built.  Executors stay per instance."""
         net = cls._from_wiring(self.inputs, self.outputs, self._wiring, self.num_wires, name)
         net._balancers = self._balancers
         net._layer = self._layer
         net._wire_depth = self._wire_depth
         net._layers = self._layers
         net._io_arrays = self._io_arrays
+        net._compiled = self._compiled
+        net._plan = self._plan
         return net
 
     def _reordered(
@@ -515,6 +523,7 @@ class Network:
         """
         self.wire_depths()
         net = self._shared_as(Network, name)
+        net._compiled = net._plan = None  # both read the reordered wires
         if out_concat is not None:
             widths, in_concat, _, bounds = self._wiring
             out_concat.setflags(write=False)

@@ -33,16 +33,16 @@ further, to an :class:`ExecutionPlan`:
   whose scratch fits in L2 (``_TILE_BYTES``), and optionally shards large
   batches over a process pool (``run_parallel``).
 
-Lowering results are memoized per :class:`~repro.core.network.Network`
-instance (``WeakKeyDictionary``), mirroring :func:`compile_network`; plans
-also serialize to/from flat arrays (:meth:`ExecutionPlan.to_arrays`) so
-:mod:`repro.core.cache` can persist them with ``np.savez``.
+Lowering results and executors are memoized on the
+:class:`~repro.core.network.Network` instance, mirroring
+:func:`compile_network`; plans also serialize to/from flat arrays
+(:meth:`ExecutionPlan.to_arrays`) so :mod:`repro.core.cache` can persist
+them with ``np.savez``.
 """
 
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,24 +293,16 @@ def lower_plan(net: Network) -> ExecutionPlan:
     )
 
 
-_plan_cache: "weakref.WeakKeyDictionary[Network, ExecutionPlan]" = weakref.WeakKeyDictionary()
-_executor_cache: "weakref.WeakKeyDictionary[Network, dict[tuple[str, str], PlanExecutor]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def lower_network(net: Network) -> ExecutionPlan:
     """Lower (and memoize per network instance) ``net`` to a flat plan."""
-    cached = _plan_cache.get(net)
-    if cached is not None:
+    if net._plan is not None:
         if _obs.enabled:
             from ..obs.metrics import default_registry
 
             default_registry().counter("core.plan_cache_hits").inc()
-        return cached
+        return net._plan
     t0 = time.perf_counter()
-    plan = lower_plan(net)
-    _plan_cache[net] = plan
+    plan = net._plan = lower_plan(net)
     if _obs.enabled:
         from ..obs.metrics import DEFAULT_TIME_BUCKETS, default_registry
         from ..obs.spans import default_span_recorder
@@ -336,10 +328,7 @@ def plan_executor(
     ``(network, backend)`` pair share one LRU scratch-buffer pool — the
     count and sort views of a network reuse each other's warm buffers
     instead of doubling the steady-state footprint."""
-    per_net = _executor_cache.get(net)
-    if per_net is None:
-        per_net = {}
-        _executor_cache[net] = per_net
+    per_net = net._executors
     key = (backend, semantics)
     ex = per_net.get(key)
     if ex is None:

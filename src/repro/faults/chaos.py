@@ -445,8 +445,8 @@ def run_shard_kill_chaos(
     """SIGKILL shards under live cluster load and audit exactly-once.
 
     The process-level analogue of :func:`run_chaos`: a real
-    :class:`~repro.cluster.Cluster` (``shards`` workers behind the line-mode
-    router, supervised) is driven by ``clients`` reconnecting TCP clients
+    :class:`~repro.cluster.Cluster` (``shards`` workers behind the router,
+    supervised) is driven by ``clients`` reconnecting TCP clients
     while a chaos task ``kill -9``\\ s a seeded choice of shard ``kills``
     times.  The supervisor restarts each victim, which replays its
     write-ahead log before reopening its socket.
@@ -480,9 +480,7 @@ def run_shard_kill_chaos(
             shards=shards,
             wal_dir=wal_dir,
             factors=tuple(factors),
-            max_delay=0.0005,
             poll_interval=0.1,
-            mode="line",
         )
         async with Cluster(cfg) as cluster:
             host, port = cluster.address

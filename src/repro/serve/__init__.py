@@ -5,7 +5,7 @@ counters*; this package turns the repo's compiled networks into an actual
 service.  Pieces:
 
 * :mod:`repro.serve.batching` — :class:`Batcher`, the asyncio micro-batcher
-  (``max_batch`` / ``max_delay`` coalescing, bounded queue, load-shedding
+  (``max_batch`` coalescing without a timer, bounded queue, load-shedding
   :class:`OverloadedError`);
 * :mod:`repro.serve.service` — :class:`CountingService`, exactly-once
   ``fetch_and_increment`` over a counting network via vectorized

@@ -8,13 +8,12 @@ engine: callers :meth:`~Batcher.submit` requests, a single worker task
 drains the queue into batches of at most ``max_batch`` items and applies
 the caller's ``apply_batch`` function to each batch.
 
-A batch that is not yet full waits for company in one of two ways.  By
-default (``max_delay=0``) the worker yields one event-loop turn and drains
-again, with no timer: requests that queued while the previous batch was
-being applied (swept, fsynced, answered) are already there, and the one
-turn lets the callers that batch just resolved submit again.  An explicit
-``max_delay > 0`` instead lingers up to that many seconds after the first
-item of a batch.
+A batch that is not yet full waits for company by yielding one event-loop
+turn and draining again, with no timer: requests that queued while the
+previous batch was being applied (swept, fsynced, answered) are already
+there, and the one turn lets the callers that batch just resolved submit
+again.  Like a balancer, the batcher never holds a request back to wait
+for company.
 
 Backpressure is load-shedding, not blocking: the queue holds at most
 ``queue_limit`` pending requests and :meth:`~Batcher.submit` raises
@@ -87,18 +86,14 @@ class Batcher:
         apply_batch: Callable[[list[Any]], Sequence[Any]],
         *,
         max_batch: int = 64,
-        max_delay: float = 0.0,
         queue_limit: int = 1024,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_delay < 0:
-            raise ValueError("max_delay must be >= 0")
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         self._apply = apply_batch
         self.max_batch = int(max_batch)
-        self.max_delay = float(max_delay)
         self.queue_limit = int(queue_limit)
         self.stats = BatcherStats()
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=queue_limit)
@@ -183,22 +178,18 @@ class Batcher:
     # -- worker -------------------------------------------------------------
 
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             first = await self._queue.get()
             if first is _STOP:
                 return
             batch = [first]
-            # Drain whatever is already queued.  A short batch then lingers
-            # (max_delay > 0) or yields one loop turn, so callers the previous
-            # batch just resolved can submit again, and drains once more.
+            # Drain whatever is already queued.  A short batch then yields
+            # one loop turn, so callers the previous batch just resolved can
+            # submit again, and drains once more.
             stop = self._drain_available(batch)
             if not stop and len(batch) < self.max_batch:
-                if self.max_delay > 0:
-                    stop = await self._linger(batch, loop)
-                else:
-                    await asyncio.sleep(0)
-                    stop = self._drain_available(batch)
+                await asyncio.sleep(0)
+                stop = self._drain_available(batch)
             self._dispatch(batch)
             if stop:
                 return
@@ -207,22 +198,6 @@ class Batcher:
         """Move already-queued items into ``batch``; True if _STOP was hit."""
         while len(batch) < self.max_batch and not self._queue.empty():
             item = self._queue.get_nowait()
-            if item is _STOP:
-                return True
-            batch.append(item)
-        return False
-
-    async def _linger(self, batch: list, loop: asyncio.AbstractEventLoop) -> bool:
-        """Wait up to ``max_delay`` (from now) for more items; True on _STOP."""
-        deadline = loop.time() + self.max_delay
-        while len(batch) < self.max_batch:
-            timeout = deadline - loop.time()
-            if timeout <= 0:
-                return False
-            try:
-                item = await asyncio.wait_for(self._queue.get(), timeout)
-            except asyncio.TimeoutError:
-                return False
             if item is _STOP:
                 return True
             batch.append(item)

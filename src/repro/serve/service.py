@@ -56,13 +56,11 @@ class CountingService:
         The backing network.  Must be a counting network for the
         exactly-once guarantee to hold; violations raise
         :class:`ExactlyOnceError` at issue time when ``validate`` is on.
-    max_batch / max_delay / queue_limit:
+    max_batch / queue_limit:
         Batching and backpressure knobs, passed to
         :class:`~repro.serve.batching.Batcher`: at most ``max_batch``
-        requests per vectorized pass; ``max_delay`` seconds of lingering
-        after the first request of a batch (the default ``0`` yields one
-        event-loop turn instead, with no timer); at most ``queue_limit``
-        requests pending before submissions are rejected with
+        requests per vectorized pass; at most ``queue_limit`` requests
+        pending before submissions are rejected with
         :class:`~repro.serve.batching.OverloadedError`.
     validate:
         Re-check per batch that dispensed values form the contiguous range
@@ -97,7 +95,6 @@ class CountingService:
         net: Network,
         *,
         max_batch: int = 64,
-        max_delay: float = 0.0,
         queue_limit: int = 1024,
         validate: bool = True,
         flight_dir=None,
@@ -132,7 +129,6 @@ class CountingService:
         self._batcher = Batcher(
             self._apply_batch,
             max_batch=max_batch,
-            max_delay=max_delay,
             queue_limit=queue_limit,
         )
 
@@ -248,7 +244,9 @@ class CountingService:
             "value_stride": self.value_stride,
             "queue_depth": self._batcher.queue_depth,
             "max_batch": self._batcher.max_batch,
-            "max_delay": self._batcher.max_delay,
+            # The batcher never lingers; the key stays for snapshot readers
+            # (perfbench records it).
+            "max_delay": 0.0,
             "queue_limit": self._batcher.queue_limit,
             "executor": self._executor.scratch_stats() if self._executor else None,
             **self._batcher.stats.as_dict(),

@@ -163,7 +163,6 @@ def _cluster_rows(prev: TopSample, cur: TopSample) -> list[str]:
     lines = [
         "",
         f"  cluster: {cluster.get('num_shards', '?')} shards, "
-        f"router mode={router.get('mode', '?')}, "
         f"throttled={router.get('throttled', 0)}, "
         f"shard errors={router.get('shard_errors', 0)}",
         f"  {'shard':>5}  {'state':<7} {'req/s':>9}  {'queue':>9}  {'shed':>7}  "

@@ -21,7 +21,6 @@ def config_for(tmp_path, **kw):
         wal_dir=str(tmp_path / "wal"),
         factors=(2, 2),
         fsync=False,
-        max_delay=0.0005,
         supervise=False,
         poll_interval=0.1,
     )
@@ -82,6 +81,7 @@ class TestClusterLifecycle:
         assert len(values) == 40
 
         assert state["num_shards"] == 2
+        assert set(state["router"]) == {"host", "port"}  # one forwarding path: no mode
         assert state["pid"] == os.getpid()
         assert len(state["shards"]) == 2
         assert all(s["up"] for s in state["shards"])

@@ -54,17 +54,6 @@ class TestTokenBucket:
         assert not b.allow(4)
         assert b.allow(3)
 
-    def test_eta_is_time_until_affordable(self):
-        clock = FakeClock()
-        b = TokenBucket(rate=2.0, burst=4.0, clock=clock)
-        assert b.eta(4) == 0.0
-        b.allow(4)
-        assert b.eta(4) == pytest.approx(2.0)  # 4 tokens at 2/s
-        clock.advance(1.0)
-        assert b.eta(4) == pytest.approx(1.0)
-        clock.advance(1.0)
-        assert b.eta(4) == 0.0
-
 
 class TestClientRateLimiter:
     def test_keys_are_independent(self):
@@ -75,16 +64,6 @@ class TestClientRateLimiter:
         assert lim.allow("b", 2)  # b has its own full bucket
         assert lim.rejected == 1
         assert len(lim) == 2
-
-    def test_eta_for_unknown_key_is_zero(self):
-        lim = ClientRateLimiter(1.0, 1.0, clock=FakeClock())
-        assert lim.eta("never-seen") == 0.0
-
-    def test_eta_for_drained_key(self):
-        clock = FakeClock()
-        lim = ClientRateLimiter(2.0, 2.0, clock=clock)
-        lim.allow("a", 2)
-        assert lim.eta("a", 2) == pytest.approx(1.0)
 
     def test_forget_drops_the_bucket(self):
         clock = FakeClock()

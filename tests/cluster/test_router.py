@@ -31,15 +31,10 @@ def run(coro):
 
 
 @contextlib.asynccontextmanager
-async def mini_cluster(num_shards=2, *, mode="line", rate_limiter=None):
+async def mini_cluster(num_shards=2, *, rate_limiter=None):
     """``num_shards`` in-process shard servers behind one router."""
     services = [
-        CountingService(
-            k_network([2, 2]),
-            value_base=i,
-            value_stride=num_shards,
-            max_delay=0.0005,
-        )
+        CountingService(k_network([2, 2]), value_base=i, value_stride=num_shards)
         for i in range(num_shards)
     ]
     servers = []
@@ -50,7 +45,7 @@ async def mini_cluster(num_shards=2, *, mode="line", rate_limiter=None):
             servers.append(server)
             addresses[i] = server.address
         router = await stack.enter_async_context(
-            ClusterRouter(addresses, port=0, mode=mode, rate_limiter=rate_limiter)
+            ClusterRouter(addresses, port=0, rate_limiter=rate_limiter)
         )
         yield router
 
@@ -105,8 +100,35 @@ class TestLineMode:
         assert len(cluster["shards"]) == 2
         assert all(s["reachable"] for s in cluster["shards"])
         assert stats["issued"] == 10  # summed over shards
-        assert cluster["router"]["mode"] == "line"
+        assert "mode" not in cluster["router"]
         assert cluster["router"]["forwarded"] == 5
+
+    def test_concurrent_control_verbs_do_not_desync(self):
+        # Two connections ask STATS and METRICS at once.  Each shard is asked
+        # over its own control connection per call, so neither request can
+        # read the other's reply, and later stats are not stale.
+        async def main():
+            async with mini_cluster(2) as router:
+                a, b = [await TCPCounterClient.connect(*router.address) for _ in range(2)]
+
+                async def ask(client):
+                    return await client.stats(), await client.metrics()
+
+                burst = await asyncio.gather(ask(a), ask(b))
+                for _ in range(3):
+                    await a.inc()
+                after = await b.stats()
+                await a.close()
+                await b.close()
+                return burst, after
+
+        burst, after = run(main())
+        for stats, text in burst:
+            assert stats["issued"] == 0
+            assert all(s["reachable"] for s in stats["cluster"]["shards"])
+            assert parse_prometheus(text)["repro_cluster_shards_up"]["samples"][0][1] == 2
+        assert after["issued"] == 3
+        assert all(s["reachable"] for s in after["cluster"]["shards"])
 
     def test_metrics_are_relabelled_and_parse(self):
         async def main():
@@ -185,33 +207,8 @@ class TestLineMode:
         assert run(main()) >= 1
 
     def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="mode"):
-            ClusterRouter({0: ("h", 1)}, mode="mystery")
         with pytest.raises(ValueError, match="non-empty"):
             ClusterRouter({})
         with pytest.raises(TypeError, match="mapping"):
             ClusterRouter(lambda sid: ("h", 1))
 
-
-class TestSpliceMode:
-    def test_raw_passthrough_preserves_protocol(self):
-        async def main():
-            async with mini_cluster(2, mode="splice") as router:
-                clients = [
-                    await TCPCounterClient.connect(*router.address) for _ in range(4)
-                ]
-                values = []
-                for _ in range(10):
-                    for c in clients:
-                        values.extend(await c.inc())
-                stats = await clients[0].stats()  # splice: the shard's own stats
-                for c in clients:
-                    await c.close()
-                return values, stats, router.forwarded
-
-        values, stats, forwarded = run(main())
-        audit = audit_values(values, stride=2)
-        assert audit["exactly_once"]
-        assert forwarded >= 40
-        assert "cluster" not in stats  # unparsed passthrough, no aggregation
-        assert stats["value_stride"] == 2

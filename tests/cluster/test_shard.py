@@ -22,7 +22,6 @@ def spec_for(tmp_path, shard_id=1, num_shards=3, **kw):
         factors=(2, 2),
         wal_path=str(tmp_path / f"shard-{shard_id}.wal"),
         fsync=False,
-        max_delay=0.0005,
     )
     defaults.update(kw)
     return ShardSpec(**defaults)

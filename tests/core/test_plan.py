@@ -186,6 +186,22 @@ class TestExecutor:
         assert plan_executor(net) is plan_executor(net)
         assert lower_network(net) is lower_network(net)
 
+    def test_memo_is_per_instance_not_per_wiring(self):
+        # K(2,3) and K(3,2) are both one 6-balancer: equal wiring, two
+        # networks.  Each is lowered once, under its own executor and name.
+        a, b = k_network([2, 3]), k_network([3, 2])
+        assert a == b and a.name != b.name
+        x = _random_batch(a, 3, 0)
+        with obs.capture() as (reg, spans):
+            ea, eb = plan_executor(a), plan_executor(b)
+            ea.run(x)
+            eb.run(x)
+            lowerings = reg.get("core.plan_lowerings").value
+            names = [s["plan"] for s in spans.to_dicts() if s["kind"] == "executor"]
+        assert ea is not eb and ea.plan is not eb.plan
+        assert lowerings == 2
+        assert names == [a.name, b.name]
+
 
 # ---------------------------------------------------------------------------
 # Plan serialization: round-trip and corruption rejection.

@@ -66,7 +66,7 @@ class TestAudit:
 class TestChaosService:
     def test_drop_before_rejects_cleanly(self, net):
         async def main():
-            svc = CountingService(net, max_delay=0.0)
+            svc = CountingService(net)
             chaos = ChaosService(svc, drop_before_rate=0.999, seed=0)
             async with chaos:
                 with pytest.raises(InjectedFault):
@@ -78,7 +78,7 @@ class TestChaosService:
 
     def test_drop_after_records_lost_values(self, net):
         async def main():
-            svc = CountingService(net, max_delay=0.0)
+            svc = CountingService(net)
             chaos = ChaosService(svc, drop_after_rate=0.999, seed=0)
             async with chaos:
                 with pytest.raises(InjectedFault):
@@ -91,7 +91,7 @@ class TestChaosService:
 
     def test_no_injection_is_transparent(self, net):
         async def main():
-            svc = CountingService(net, max_delay=0.0)
+            svc = CountingService(net)
             chaos = ChaosService(svc, seed=0)
             async with chaos:
                 values = await chaos.fetch_and_increment_many(5)
@@ -149,7 +149,7 @@ class TestRunChaos:
 
 
 def net_service(net) -> CountingService:
-    return CountingService(net, max_delay=0.0005)
+    return CountingService(net)
 
 
 class TestChaosTokenCheck:

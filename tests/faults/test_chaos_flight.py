@@ -13,7 +13,7 @@ from repro.serve import CountingService
 
 
 def make_service(**kwargs) -> CountingService:
-    return CountingService(k_network([2, 3]), max_delay=0.0005, **kwargs)
+    return CountingService(k_network([2, 3]), **kwargs)
 
 
 class TestStateCorruption:

@@ -37,7 +37,7 @@ class TestLifecycle:
 
     def test_stop_drains_queued_work(self):
         async def main():
-            b = Batcher(echo_batch, max_batch=2, max_delay=0.0)
+            b = Batcher(echo_batch, max_batch=2)
             await b.start()
             futs = [asyncio.ensure_future(b.submit(i)) for i in range(10)]
             await asyncio.sleep(0)  # let every submission reach the queue
@@ -50,7 +50,7 @@ class TestLifecycle:
 class TestCoalescing:
     def test_concurrent_submissions_share_batches(self):
         async def main():
-            async with Batcher(echo_batch, max_batch=64, max_delay=0.002) as b:
+            async with Batcher(echo_batch, max_batch=64) as b:
                 results = await asyncio.gather(*(b.submit(i) for i in range(100)))
                 assert results == list(range(100))
                 assert b.stats.batches < 100  # genuinely coalesced
@@ -67,7 +67,7 @@ class TestCoalescing:
             return list(requests)
 
         async def main():
-            async with Batcher(apply, max_batch=8, max_delay=0.002) as b:
+            async with Batcher(apply, max_batch=8) as b:
                 await asyncio.gather(*(b.submit(i) for i in range(50)))
 
         run(main())
@@ -76,7 +76,7 @@ class TestCoalescing:
 
     def test_histogram_accounts_every_batch(self):
         async def main():
-            async with Batcher(echo_batch, max_batch=4, max_delay=0.0) as b:
+            async with Batcher(echo_batch, max_batch=4) as b:
                 await asyncio.gather(*(b.submit(i) for i in range(17)))
                 hist = b.stats.batch_size_hist
                 assert sum(hist.values()) == b.stats.batches
@@ -86,7 +86,7 @@ class TestCoalescing:
 
     def test_single_item_flushes_after_max_delay(self):
         async def main():
-            async with Batcher(echo_batch, max_batch=1024, max_delay=0.01) as b:
+            async with Batcher(echo_batch, max_batch=1024) as b:
                 loop = asyncio.get_running_loop()
                 t0 = loop.time()
                 assert await b.submit("solo") == "solo"
@@ -117,33 +117,20 @@ class _TimerCount:
 
 
 class TestOneTurnPolicy:
-    """The default batcher (``max_delay=0``) waits for company by yielding
-    one event-loop turn, never by a timer."""
+    """The batcher waits for company by yielding one event-loop turn, never
+    by a timer."""
 
     def test_default_schedules_no_timer(self):
         async def main():
             timers = _TimerCount(asyncio.get_running_loop())
             try:
                 async with Batcher(echo_batch) as b:
-                    assert b.max_delay == 0.0
                     assert await b.submit("solo") == "solo"
                     burst = await asyncio.gather(*(b.submit(i) for i in range(10)))
                     assert burst == list(range(10))
             finally:
                 timers.close()
             assert timers.calls == 0
-
-        run(main())
-
-    def test_explicit_delay_schedules_its_window(self):
-        async def main():
-            timers = _TimerCount(asyncio.get_running_loop())
-            try:
-                async with Batcher(echo_batch, max_delay=0.001) as b:
-                    assert await b.submit("solo") == "solo"
-            finally:
-                timers.close()
-            assert timers.calls > 0
 
         run(main())
 
@@ -215,7 +202,7 @@ class TestOneTurnPolicy:
 class TestBackpressure:
     def test_overload_rejects_cleanly(self):
         async def main():
-            b = Batcher(echo_batch, max_batch=1, max_delay=0.0, queue_limit=2)
+            b = Batcher(echo_batch, max_batch=1, queue_limit=2)
             await b.start()
             # All 200 submissions race in before the worker gets a turn;
             # only queue_limit of them can be pending at once.
@@ -241,7 +228,7 @@ class TestFailures:
             raise ValueError("kernel exploded")
 
         async def main():
-            async with Batcher(boom, max_batch=8, max_delay=0.002) as b:
+            async with Batcher(boom, max_batch=8) as b:
                 results = await asyncio.gather(
                     *(b.submit(i) for i in range(5)), return_exceptions=True
                 )
@@ -254,7 +241,7 @@ class TestFailures:
             return list(requests)[:-1]
 
         async def main():
-            async with Batcher(short, max_batch=4, max_delay=0.0) as b:
+            async with Batcher(short, max_batch=4) as b:
                 with pytest.raises(RuntimeError, match="results for"):
                     await b.submit(1)
 
@@ -266,10 +253,14 @@ class TestValidation:
         "kwargs",
         [
             {"max_batch": 0},
-            {"max_delay": -1.0},
+            {"queue_limit": -1},
             {"queue_limit": 0},
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             Batcher(echo_batch, **kwargs)
+
+    def test_linger_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            Batcher(echo_batch, max_delay=0.001)

@@ -27,7 +27,7 @@ class TestSlowConsumerOverload:
 
         async def main():
             svc = CountingService(
-                k_network([2, 2]), max_batch=4, max_delay=0.0, queue_limit=4
+                k_network([2, 2]), max_batch=4, queue_limit=4
             )
 
             def slow(original, requests):
@@ -55,7 +55,7 @@ class TestSlowConsumerOverload:
     def test_rejected_requests_have_no_side_effects(self):
         async def main():
             svc = CountingService(
-                k_network([2, 2]), max_batch=1, max_delay=0.0, queue_limit=1
+                k_network([2, 2]), max_batch=1, queue_limit=1
             )
             async with svc:
                 results = await asyncio.gather(
@@ -79,7 +79,7 @@ class TestClientDisconnectMidInc:
         the server keeps serving other clients without double-issuing."""
 
         async def main():
-            service = CountingService(k_network([2, 3]), max_delay=0.0)
+            service = CountingService(k_network([2, 3]))
             async with CountingServer(service, port=0) as server:
                 host, port = server.address
                 # Rude client: request 5 values, never read the reply.
@@ -105,7 +105,7 @@ class TestClientDisconnectMidInc:
 
     def test_disconnect_mid_pipeline_other_clients_unaffected(self):
         async def main():
-            service = CountingService(k_network([2, 3]), max_delay=0.0)
+            service = CountingService(k_network([2, 3]))
             async with CountingServer(service, port=0) as server:
                 host, port = server.address
                 healthy = await TCPCounterClient.connect(host, port)
@@ -143,7 +143,7 @@ class TestCancelledWaiter:
         checks statistically."""
 
         async def main():
-            async with CountingService(k_network([2, 2]), max_delay=0.001) as svc:
+            async with CountingService(k_network([2, 2])) as svc:
                 task = asyncio.ensure_future(svc.fetch_and_increment_many(3))
                 await asyncio.sleep(0)  # let it enqueue
                 task.cancel()

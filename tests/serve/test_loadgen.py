@@ -73,7 +73,7 @@ class TestOpenLoop:
     def test_overload_counted_not_raised(self):
         async def main():
             svc = CountingService(
-                k_network([2, 2]), max_batch=1, max_delay=0.0, queue_limit=1
+                k_network([2, 2]), max_batch=1, queue_limit=1
             )
             async with svc:
                 gen = LoadGenerator(mode="open", clients=2, ops=200, rate=1e6, seed=5)

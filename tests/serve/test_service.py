@@ -80,7 +80,7 @@ class TestAsyncAPI:
         n_clients, m_ops = 16, 25
 
         async def main():
-            async with CountingService(k_network([2, 3, 2]), max_delay=0.001) as svc:
+            async with CountingService(k_network([2, 3, 2])) as svc:
 
                 async def client() -> list[int]:
                     return [await svc.fetch_and_increment() for _ in range(m_ops)]
@@ -122,7 +122,7 @@ class TestAsyncAPI:
     def test_overload_surfaces_to_caller(self):
         async def main():
             svc = CountingService(
-                k_network([2, 2]), max_batch=1, max_delay=0.0, queue_limit=1
+                k_network([2, 2]), max_batch=1, queue_limit=1
             )
             async with svc:
                 results = await asyncio.gather(

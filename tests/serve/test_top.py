@@ -106,7 +106,7 @@ def make_cluster_stats(s0_submitted=400, s1_submitted=300, s1_up=True) -> dict:
     st["cluster"] = {
         "num_shards": 2,
         "value_stride": 2,
-        "router": {"mode": "line", "throttled": 4, "shard_errors": 1},
+        "router": {"throttled": 4, "shard_errors": 1},
         "shards": [
             {
                 "shard_id": 0,
@@ -141,7 +141,7 @@ class TestClusterFrame:
         cur = TopSample(2.0, make_cluster_stats(500, 300))
         frame = render_frame(prev, cur)
         assert "cluster: 2 shards" in frame
-        assert "mode=line" in frame
+        assert "mode=" not in frame
         assert "throttled=4" in frame
         # Per-shard request rates are deltas over dt: (500-100)/2, (300-100)/2.
         assert "200.0" in frame

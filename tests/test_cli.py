@@ -207,6 +207,34 @@ class TestPlan:
         assert "padded from 34" in capsys.readouterr().out
 
 
+class TestRemovedBatchingFlags:
+    """The batcher has one policy and the router one forwarding path, so
+    their old knobs are unknown flags: argparse exits 2 before any handler
+    runs."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--max-delay", "0.001"],
+            ["cluster", "start", "--wal-dir", "w", "--mode", "splice"],
+            ["cluster", "start", "--wal-dir", "w", "--adaptive"],
+            ["cluster", "start", "--wal-dir", "w", "--max-delay", "0.001"],
+            ["fuzz", "chaos", "--max-delay", "0.001"],
+        ],
+        ids=["serve-max-delay", "cluster-mode", "cluster-adaptive", "cluster-max-delay",
+             "chaos-max-delay"],
+    )
+    def test_flag_exits_2(self, argv, monkeypatch, capsys):
+        import repro.cli as cli
+
+        for handler in ("_serve", "_cluster_start", "_fuzz_chaos"):
+            monkeypatch.setattr(cli, handler, lambda args: 0)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestFactorValidation:
     """Degenerate factors (< 2) must be rejected with a clear message."""
 
